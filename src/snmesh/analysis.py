@@ -219,8 +219,9 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
     key = config_fingerprint(config, grid)
     path = cache_dir / f"oracle-{key}.csv"
     if path.exists():
-        _, data = _read_oracle_file(path)
-        if data.shape == (grid.size, 4):
+        # a file whose header names another config is a miss, not a hit
+        meta, data = _read_oracle_file(path)
+        if meta.get("fingerprint") == key and data.shape == (grid.size, 4):
             return data[:, 1]
     system = TransportSystem(config)
     result = system.solve()

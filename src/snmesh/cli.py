@@ -222,8 +222,6 @@ def cmd_converge(args):
         n_angles=settings["angles"],
         t_final=settings["t_final"],
         variants=variants,
-        rtol=settings.get("rtol", 5e-13),
-        atol=settings.get("atol", 1e-12),
     )
     rows = []
     for variant, record in study.records.items():
@@ -289,8 +287,6 @@ def cmd_scalecheck(args):
         n_cells=settings["cells"],
         n_angles=settings["angles"],
         variant=variant,
-        rtol=settings.get("rtol", 5e-13),
-        atol=settings.get("atol", 1e-12),
     )
     csv_path = write_csv(
         out_dir / "scalecheck.csv",
@@ -335,8 +331,6 @@ def cmd_bench(args):
         t_final=settings["t_final"],
         variant=variant,
         repeats=args.repeats,
-        rtol=settings.get("rtol", 5e-13),
-        atol=settings.get("atol", 1e-12),
     )
     csv_path = write_csv(
         out_dir / "timing.csv",

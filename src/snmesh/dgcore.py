@@ -213,6 +213,14 @@ class TransportSystem:
             (j[:, None] >= j[None, :] + 2) & (parity == 0), coupled, 0.0
         ).T.copy()
         self._diag_weights = 2.0 * j + 1.0
+        # Every mesh law moves its edges at constant velocity, so the edge
+        # speed terms and the upwind choice hold for the whole solve.
+        vel = self.mesh.velocities
+        self._hdot = vel[1:] - vel[:-1]
+        self._moving = bool(self._hdot.any())
+        self._odd_speed = 2.0 * self.mu[:, None] - (vel[:-1] + vel[1:])[None, :]
+        self._rel = self.mu[:, None] - vel[None, :]
+        self._upwind_left = self._rel > 0.0
 
     # -- mesh and boundary -------------------------------------------------
 
@@ -336,12 +344,10 @@ class TransportSystem:
 
     def rhs_coeffs(self, t: float, u: np.ndarray) -> np.ndarray:
         ms = self.mesh_at(t)
-        vel = ms.velocities
         h = ms.widths
         inv_sqrt_h = 1.0 / np.sqrt(h)
         n, k_cells, j_funcs = u.shape
-        hdot = vel[1:] - vel[:-1]
-        vsum = vel[:-1] + vel[1:]
+        hdot = self._hdot
         # volume terms: (G + mu L) u assembled from the shared patterns,
         # with the collision loss -u folded into the diagonal factor
         flat = u.reshape(n * k_cells, j_funcs)
@@ -349,9 +355,9 @@ class TransportSystem:
         even_u = (flat @ self._even_pattern).reshape(u.shape)
         diag = (-0.5 * hdot / h)[:, None] * self._diag_weights[None, :] - 1.0
         du = diag[None, :, :] * u
-        odd_u *= ((2.0 * self.mu[:, None] - vsum[None, :]) / h[None, :])[:, :, None]
+        odd_u *= (self._odd_speed / h[None, :])[:, :, None]
         du += odd_u
-        if hdot.any():
+        if self._moving:
             even_u *= (hdot / h)[None, :, None]
             du -= even_u
 
@@ -364,9 +370,7 @@ class TransportSystem:
             bc_left = trace_left[::-1, 0]
         from_left = np.concatenate([bc_left[:, None], trace_right], axis=1)
         from_right = np.concatenate([trace_left, bc_right[:, None]], axis=1)
-        rel = self.mu[:, None] - vel[None, :]
-        upwind = np.where(rel > 0.0, from_left, from_right)
-        flux = rel * upwind
+        flux = self._rel * np.where(self._upwind_left, from_left, from_right)
         # per-cell scaled traces fold the 1/sqrt(h) into (K, J) factors
         du -= flux[:, 1:, None] * (self._sq[None, :] * inv_sqrt_h[:, None])[None, :, :]
         du += flux[:, :-1, None] * (self._alt[None, :] * inv_sqrt_h[:, None])[None, :, :]

@@ -16,7 +16,8 @@ _EVALS_PER_ATTEMPT = 12  # 11 internal stages plus the new-point evaluation
 
 
 class IntegrationError(RuntimeError):
-    """Step-size underflow or budget exhaustion; carries the last good time."""
+    """Step-size underflow, budget exhaustion or a non-finite state; carries
+    the last good time and state."""
 
     def __init__(self, message, t_last, y_last):
         super().__init__(message)
@@ -71,12 +72,21 @@ def integrate(
     startup_evals = 1 if cfg.first_step is not None else 2
     accepted = 0
     while solver.status == "running":
+        # the stepper replaces y on each step, so a reference keeps it
+        t_prev, y_prev = solver.t, solver.y
         solver.step()
         if solver.status == "failed":
             raise IntegrationError(
                 f"integrator failed near t={solver.t}: step size underflow",
                 solver.t,
                 solver.y,
+            )
+        if not np.isfinite(solver.y).all():
+            raise IntegrationError(
+                f"state stopped being finite in the step from t={t_prev} "
+                f"to t={solver.t}",
+                t_prev,
+                y_prev,
             )
         accepted += 1
         if accepted > cfg.max_steps:

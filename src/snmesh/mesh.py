@@ -62,10 +62,6 @@ class Mesh:
     def n_cells(self) -> int:
         return self.initial_edges.size - 1
 
-    @property
-    def extent_velocity(self) -> float:
-        return float(self.velocities[-1])
-
 
 def edges_at(mesh: Mesh, t: float) -> MeshState:
     """Mesh state at time t; cells must have positive width there."""

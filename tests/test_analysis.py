@@ -166,6 +166,22 @@ class TestOracleCache:
             reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
                                study_angles=4, cache_dir=tmp_path, gate_limit=1e-18)
 
+    def test_mismatched_fingerprint_is_a_miss(self, tmp_path):
+        config = RunConfig(spec=self.SPEC, n_angles=2, order=1, n_cells=2,
+                           mesh_mode="moving", source_mode="uncollided",
+                           t_final=0.5, rtol=1e-8, atol=1e-9)
+        grid = np.linspace(-1.0, 1.0, 5)
+        key = analysis.config_fingerprint(config, grid)
+        path = tmp_path / f"oracle-{key}.csv"
+        planted = np.full(grid.size, 7.0)
+        analysis._write_oracle_file(path, {"fingerprint": "0" * 24}, grid,
+                                    planted, planted, planted)
+        phi = analysis._oracle_solve(config, grid, tmp_path)
+        assert not np.any(phi == 7.0)
+        meta, data = analysis._read_oracle_file(path)
+        assert meta["fingerprint"] == key
+        np.testing.assert_array_equal(data[:, 1], phi)
+
     def test_corrupt_cache_file_rejected(self, tmp_path):
         bad = tmp_path / "oracle-deadbeef.csv"
         bad.write_text("x,phi\n0,1\n")

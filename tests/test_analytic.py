@@ -128,6 +128,58 @@ class TestQuadOracles:
         assert float(an.phi_u_gaussian_source(x, t, SIGMA, T0)) == pytest.approx(want, abs=1e-8)
 
 
+class TestGaussianSourceArrays:
+    """The array path (one integral per distinct |x|, nodes broadcast) must
+    agree with per-point calls and keep the flux's evenness and shape."""
+
+    # mixed signs, repeated |x|, points beyond the support, 2-D shape
+    X = np.array([[-2.5, -0.7, -0.3, 0.0, 0.3, 0.7],
+                  [2.5, 0.7, 9.0, -9.0, 1.25, -0.3]])
+
+    @pytest.mark.parametrize("t", [1e-13, 0.4, 2.0, T0 + 1.5])
+    def test_matches_pointwise_calls(self, t):
+        got = an.phi_u_gaussian_source(self.X, t, SIGMA, T0)
+        assert got.shape == self.X.shape
+        want = np.array([[an.phi_u_gaussian_source(v, t, SIGMA, T0) for v in row]
+                         for row in self.X])
+        # the panels stop on the largest error over all points, against an
+        # absolute target of 1e-12; a value far under it (x = 9 after the
+        # cutoff, ~4e-18) may sit on other panels alone than in the array
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
+
+    @pytest.mark.parametrize("t", [1e-13, 0.4, 2.0, T0 + 1.5])
+    def test_matches_node_loop_reference(self, t):
+        # the pulse kernel evaluated one emission time at a time, on every
+        # point, through the same panel rule
+        x = self.X.ravel()
+
+        def loop_kernel(tau):
+            return np.stack([an.phi_u_gaussian_pulse(x, t - tv, SIGMA) for tv in tau])
+
+        want = an._adaptive_panels(loop_kernel, 0.0, min(t, T0), 1e-12, x.shape)
+        got = an.phi_u_gaussian_source(self.X, t, SIGMA, T0)
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("t", [1e-13, 0.4, 2.0, T0 + 1.5])
+    def test_exactly_even(self, t):
+        got = an.phi_u_gaussian_source(self.X, t, SIGMA, T0)
+        np.testing.assert_array_equal(got, an.phi_u_gaussian_source(-self.X, t, SIGMA, T0))
+        assert got[0, 1] == got[1, 1] and got[0, 2] == got[1, 5]
+
+    def test_scalar_input_returns_float(self):
+        val = an.phi_u_gaussian_source(np.float64(0.7), 1.0, SIGMA, T0)
+        assert type(val) is float
+        assert val == pytest.approx(FROZEN_GAUSSIAN_SOURCE[1][2], rel=1e-14)
+
+    def test_tiny_time_uses_the_pulse_limit(self):
+        # every node sits under the s < 1e-12 cutoff: the integrand is the
+        # initial profile, so the flux is t * exp(-x^2 / sigma^2)
+        t = 1e-13
+        got = an.phi_u_gaussian_source(self.X, t, SIGMA, T0)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, t * np.exp(-self.X ** 2 / SIGMA ** 2), rtol=1e-14)
+
+
 def ei_reference(y):
     """Ei(y) for y < 0 via the power series (small |y|) or the continued
     fraction for E1 evaluated with the modified Lentz scheme (large |y|)."""

@@ -70,6 +70,27 @@ def test_step_budget_exhaustion_raises_with_state():
     assert err.value.y_last.shape == (1,)
 
 
+def test_nan_rhs_raises_with_last_good_state():
+    def rhs(t, y):
+        return np.full_like(y, np.nan) if t > 0.5 else -y
+
+    with pytest.raises(IntegrationError) as err:
+        integrate(rhs, np.array([1.0, 2.0]), 0.0, 1.0)
+    assert err.value.t_last <= 0.5
+    assert np.all(np.isfinite(err.value.y_last))
+
+
+def test_overflow_accepted_by_error_control_raises():
+    # y_new = inf makes the error scale infinite, so the step passes the
+    # error test; only the finiteness check stops the run
+    cfg = IntegratorConfig(first_step=100.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match="finite") as err:
+            integrate(lambda t, y: np.full_like(y, 1e307), np.array([1.0]), 0.0, 1e3, cfg)
+    assert err.value.t_last == 0.0
+    np.testing.assert_array_equal(err.value.y_last, [1.0])
+
+
 def test_first_step_hint_is_used():
     calls = []
 
