@@ -247,23 +247,20 @@ class TransportSystem:
         Returns flat arrays (x, weight, cell index, reference coordinate z).
         """
         edges = ms.edges
-        breaks = edges
-        if kinks:
-            lo, hi = edges[0], edges[-1]
-            extra = [r for s in kinks for r in (-s, s) if lo < r < hi]
-            if extra:
-                breaks = np.unique(np.concatenate([edges, np.array(extra)]))
+        rule = self._proj_rule
+        lo, hi = edges[0], edges[-1]
+        extra = [r for s in kinks for r in (-s, s) if lo < r < hi]
+        breaks = np.unique(np.concatenate([edges, np.array(extra)])) if extra else edges
         mid = 0.5 * (breaks[:-1] + breaks[1:])
         half = 0.5 * (breaks[1:] - breaks[:-1])
+        # cell edges gathered per panel, not per node
         cell = np.clip(np.searchsorted(edges, mid, side="right") - 1, 0, ms.n_cells - 1)
-        nodes = mid[:, None] + half[:, None] * self._proj_rule.nodes[None, :]
-        wts = half[:, None] * self._proj_rule.weights[None, :]
-        cell_idx = np.repeat(cell, self._proj_rule.n)
-        x = nodes.ravel()
-        xl = edges[cell_idx]
-        xr = edges[cell_idx + 1]
-        z = np.clip((2.0 * x - xl - xr) / (xr - xl), -1.0, 1.0)
-        return x, wts.ravel(), cell_idx, z
+        xl = edges[cell][:, None]
+        xr = edges[cell + 1][:, None]
+        nodes = mid[:, None] + half[:, None] * rule.nodes[None, :]
+        wts = half[:, None] * rule.weights[None, :]
+        z = np.clip((2.0 * nodes - xl - xr) / (xr - xl), -1.0, 1.0)
+        return nodes.ravel(), wts.ravel(), np.repeat(cell, rule.n), z.ravel()
 
     def _project_profile(self, ms: MeshState, values, wts, cell_idx, z):
         """Per-cell basis moments of point values sampled at projection nodes."""
@@ -271,10 +268,13 @@ class TransportSystem:
         k_cells = ms.n_cells
         sqrt_h = np.sqrt(ms.widths)
         table = legendre_table(z, order)
-        out = np.empty((k_cells, order + 1))
-        base = wts * values
-        for j in range(order + 1):
-            out[:, j] = np.bincount(cell_idx, weights=base * table[j], minlength=k_cells)
+        # one bincount over (moment, cell) bins; each bin still sums its
+        # nodes in node order
+        bins = cell_idx + k_cells * np.arange(order + 1)[:, None]
+        out = np.bincount(
+            bins.ravel(), weights=(table * (wts * values)).ravel(),
+            minlength=(order + 1) * k_cells,
+        ).reshape(order + 1, k_cells).T
         return out * (self._sq[None, :] / sqrt_h[:, None])
 
     def project_function(self, ms: MeshState, f, kinks=()):
@@ -352,12 +352,12 @@ class TransportSystem:
         # with the collision loss -u folded into the diagonal factor
         flat = u.reshape(n * k_cells, j_funcs)
         odd_u = (flat @ self._odd_pattern).reshape(u.shape)
-        even_u = (flat @ self._even_pattern).reshape(u.shape)
         diag = (-0.5 * hdot / h)[:, None] * self._diag_weights[None, :] - 1.0
         du = diag[None, :, :] * u
         odd_u *= (self._odd_speed / h[None, :])[:, :, None]
         du += odd_u
         if self._moving:
+            even_u = (flat @ self._even_pattern).reshape(u.shape)
             even_u *= (hdot / h)[None, :, None]
             du -= even_u
 

@@ -19,23 +19,21 @@ import numpy as np
 
 @dataclass(frozen=True)
 class MeshState:
-    """Edge positions and velocities at a fixed time."""
+    """Edge positions, velocities and cell widths at a fixed time."""
 
     edges: np.ndarray
     velocities: np.ndarray
+    widths: np.ndarray
     t: float
 
     def __post_init__(self):
         self.edges.setflags(write=False)
         self.velocities.setflags(write=False)
+        self.widths.setflags(write=False)
 
     @property
     def n_cells(self) -> int:
         return self.edges.size - 1
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,11 @@ class Mesh:
 def edges_at(mesh: Mesh, t: float) -> MeshState:
     """Mesh state at time t; cells must have positive width there."""
     edges = mesh.initial_edges + mesh.velocities * t
-    if np.any(np.diff(edges) <= 0.0):
+    widths = edges[1:] - edges[:-1]
+    if np.any(widths <= 0.0):
         raise ValueError(f"mesh law {mesh.law!r} has degenerate cells at t={t}")
-    return MeshState(edges, mesh.velocities.copy(), float(t))
+    # the law's velocities are read-only, so the state can share them
+    return MeshState(edges, mesh.velocities, widths, float(t))
 
 
 def _symmetrize(edges):

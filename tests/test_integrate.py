@@ -1,8 +1,19 @@
-"""Time integrator contract: accuracy order, tolerance response, failure paths."""
+"""Time integrator contract: accuracy order, tolerance response, failure paths,
+and bit-for-bit agreement with scipy's DOP853."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
+import snmesh
+from snmesh import integrate as stepper
+from snmesh.analytic import SourceSpec
+from snmesh.dgcore import T_START_EPS, RunConfig, TransportSystem
 from snmesh.integrate import IntegrationError, IntegrationStats, IntegratorConfig, integrate
 
 
@@ -71,11 +82,17 @@ def test_step_budget_exhaustion_raises_with_state():
 
 
 def test_nan_rhs_raises_with_last_good_state():
+    calls = []
+
     def rhs(t, y):
+        calls.append(t)
         return np.full_like(y, np.nan) if t > 0.5 else -y
 
-    with pytest.raises(IntegrationError) as err:
+    with pytest.raises(IntegrationError, match="non-finite error estimate") as err:
         integrate(rhs, np.array([1.0, 2.0]), 0.0, 1.0)
+    # the first attempt that meets the NaN stops the run; shrinking the step
+    # until it underflows took 818 calls
+    assert len(calls) < 100
     assert err.value.t_last <= 0.5
     assert np.all(np.isfinite(err.value.y_last))
 
@@ -119,3 +136,70 @@ def test_rejections_counted_on_rough_problem():
     _, stats = integrate(rhs, np.array([0.0]), 0.0, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-12))
     assert stats.steps_rejected >= 1
     assert stats.n_rhs > 12 * stats.steps_accepted
+
+
+def _parity_case(name):
+    """(rhs, y0, t0, t1, config) of one problem the stepper must run exactly
+    as scipy's DOP853 does."""
+    if name == "decay":
+        rates = np.linspace(0.5, 2.0, 37)
+        y0 = np.linspace(-3.0, 5.0, 37)
+        return lambda t, y: -rates * y, y0, 0.0, 2.0, IntegratorConfig()
+    if name == "oscillator":
+        rhs = lambda t, y: np.array([y[1], -y[0]])
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, first_step=0.01)
+        return rhs, np.array([1.0, 0.0]), 0.0, 10.0, cfg
+    if name == "kink":
+        rhs = lambda t, y: np.array([1.0 / np.sqrt(abs(t - 0.5) + 1e-8)])
+        return rhs, np.array([0.0]), 0.0, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-12)
+    spec = SourceSpec("square-source", c=1.0, x0=0.5, t0=5.0)
+    system = TransportSystem(RunConfig(spec, 8, 2, 4, "moving", "uncollided"))
+    cfg = IntegratorConfig(first_step=T_START_EPS)
+    y0 = system.project_initial_condition().coeffs.ravel()
+    return system.rhs_flat, y0, system.t_start, system.config.t_final, cfg
+
+
+@pytest.mark.parametrize("name", ["decay", "oscillator", "kink", "square-source-u+m"])
+def test_bitwise_equal_to_scipy_dop853(monkeypatch, name):
+    rhs, y0, t0, t1, cfg = _parity_case(name)
+    ref = DOP853(rhs, t0, y0, t_bound=t1, rtol=cfg.rtol, atol=cfg.atol,
+                 first_step=cfg.first_step, max_step=cfg.max_step)
+    ref_t = []
+    while ref.status == "running":
+        ref.step()
+        ref_t.append(ref.t)
+    assert ref.status == "finished"
+
+    # every attempt starts from the last accepted time
+    starts = []
+    rk_step = stepper._rk_step
+
+    def spy(fun, t, *rest):
+        starts.append(t)
+        return rk_step(fun, t, *rest)
+
+    monkeypatch.setattr(stepper, "_rk_step", spy)
+    y, stats = integrate(rhs, y0, t0, t1, cfg)
+    own_t = [b for a, b in zip(starts, starts[1:]) if b != a] + [t1]
+
+    np.testing.assert_array_equal(y, ref.y)
+    np.testing.assert_array_equal(own_t, ref_t)
+    assert stats.n_rhs == ref.nfev
+    assert stats.steps_accepted == len(ref_t)
+    assert stats.steps_rejected == len(starts) - len(ref_t)
+    if name == "kink":
+        assert stats.steps_rejected >= 1
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate drags in sparse, linalg, optimize and more, whose
+    # import time and memory every process would pay and no solve uses
+    src = Path(snmesh.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, snmesh.cli\n"
+        "print([m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -67,6 +67,14 @@ def test_rule_structure(maker, n):
     assert np.all(np.diff(rule.nodes) > 0)
 
 
+def test_lobatto_directions_mirror_bit_for_bit():
+    # the half-domain mirror boundary feeds direction l from the trace of
+    # direction n - 1 - l (trace_left[::-1, 0]), which must be -mu_l exactly
+    for n in range(2, 257, 2):
+        nodes = gauss_lobatto(n).nodes
+        npt.assert_array_equal(nodes[::-1], -nodes, err_msg=f"n={n}")
+
+
 def test_lobatto_includes_endpoints():
     for n in (2, 5, 10, 31):
         rule = gauss_lobatto(n)
