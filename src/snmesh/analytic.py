@@ -5,6 +5,11 @@ All spatial profiles are even in x and use mean-free-path units (unit total
 cross section, unit wave speed).  Support indicators are closed: a point on a
 wavefront gets the limit from inside, which keeps grid comparisons against
 reconstructed cell traces well defined.
+
+The fluxes and sources take t as a scalar or as an array that broadcasts
+with x, so one call covers points at several times.  Each element goes
+through the same floating-point operations either way, so a batched value
+equals the one-time value bit for bit.
 """
 
 from dataclasses import dataclass, replace
@@ -69,7 +74,8 @@ def exp_integral_Ei(y):
 
 def phi_u_plane(x, t):
     """Uncollided flux of a unit plane pulse fired at the origin at t = 0."""
-    if t <= 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("plane-pulse uncollided flux needs t > 0")
     x = np.asarray(x, dtype=float)
     return np.where(np.abs(x) <= t, np.exp(-t) / (2.0 * t), 0.0)
@@ -78,31 +84,30 @@ def phi_u_plane(x, t):
 def phi_u_square_pulse(x, t, x0):
     """Uncollided flux of an initial square pulse of half-width x0."""
     x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
     ax = np.abs(x)
-    if t < 0:
+    if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    if t == 0.0:
-        inside = np.where(ax < x0, 1.0, 0.0)
-        return np.where(ax == x0, 0.5, inside)
-    ramp = np.exp(-t) * (t - ax + x0) / (2.0 * t)
-    if t <= x0:
-        plateau = np.exp(-t)
-        core = ax <= x0 - t
-    else:
-        plateau = x0 * np.exp(-t) / t
-        core = ax <= t - x0
-    out = np.where(core, plateau, ramp)
-    return np.where(ax <= t + x0, out, 0.0)
+    decay = np.exp(-t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramp = decay * (t - ax + x0) / (2.0 * t)
+        early = t <= x0
+        plateau = np.where(early, decay, x0 * decay / t)
+    core = np.where(early, ax <= x0 - t, ax <= t - x0)
+    out = np.where(ax <= t + x0, np.where(core, plateau, ramp), 0.0)
+    initial = np.where(ax == x0, 0.5, np.where(ax < x0, 1.0, 0.0))
+    return np.where(t == 0.0, initial, out)
 
 
 def phi_u_gaussian_pulse(x, t, sigma):
     """Uncollided flux of an initial Gaussian pulse exp(-x^2 / sigma^2)."""
     x = np.asarray(x, dtype=float)
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    if t < 1e-12:
-        return np.exp(-(x * x) / (sigma * sigma)) + np.zeros_like(x)
-    return _gaussian_pulse_spread(x, t, sigma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = _gaussian_pulse_spread(x, t, sigma)
+    return np.where(t < 1e-12, np.exp(-(x * x) / (sigma * sigma)), spread)
 
 
 def _gaussian_pulse_spread(x, s, sigma):
@@ -112,11 +117,13 @@ def _gaussian_pulse_spread(x, s, sigma):
 
 
 def phi_u_square_source(x, t, x0, t0):
-    """Uncollided flux of a square source on |x| <= x0 active for t <= t0."""
+    """Uncollided flux of a square source on |x| <= x0 active for t <= t0.
+
+    Zero for t <= 0: there the emission window d below is empty.
+    """
     x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
     ax = np.abs(x)
-    if t <= 0:
-        return np.zeros_like(ax)
     d = np.maximum(np.minimum(np.minimum(t0, t), t - ax + x0), 0.0)
     b = np.maximum(np.minimum(d, t - ax - x0), 0.0)
     cc = np.maximum(np.minimum(d, t + ax - x0), 0.0)
@@ -127,8 +134,10 @@ def phi_u_square_source(x, t, x0, t0):
     # the Ei singularity so 0 * (-inf) does not produce a NaN.
     neg = arg_c < 0.0
     ei_c = np.where(neg, expi(np.where(neg, arg_c, -1.0)), 0.0)
-    term_inner = -x0 * (ei_b - ei_0)
-    term_mid = 0.5 * ((ax - x0) * (ei_c - ei_b) + np.exp(arg_c) - np.exp(b - t))
+    with np.errstate(invalid="ignore"):
+        # t <= 0 gives Ei(0) = -inf in the unused terms
+        term_inner = -x0 * (ei_b - ei_0)
+        term_mid = 0.5 * ((ax - x0) * (ei_c - ei_b) + np.exp(arg_c) - np.exp(b - t))
     term_outer = np.exp(d - t) - np.exp(arg_c)
     return np.where(d > 0.0, term_inner + term_mid + term_outer, 0.0)
 
@@ -147,8 +156,20 @@ def phi_u_gaussian_source(x, t, sigma, t0, tol=1e-12):
     x and -x, so the integral runs once per distinct |x| and is scattered
     back: the mirror-symmetric projection points of a symmetric mesh cost
     half the erf evaluations.
+
+    An array t runs one integral per distinct time, over the points at that
+    time: the panels stop on the largest error over all points of one
+    integral, so the points of one time are integrated together, as in a
+    call at that time alone.
     """
     arr = np.asarray(x, dtype=float)
+    if np.ndim(t):
+        arr, times = np.broadcast_arrays(arr, np.asarray(t, dtype=float))
+        out = np.empty(arr.shape)
+        for tv in np.unique(times):
+            at = times == tv
+            out[at] = phi_u_gaussian_source(arr[at], tv, sigma, t0, tol)
+        return out
     if t <= 0:
         return np.zeros_like(arr)
     ax, where = np.unique(np.abs(arr).ravel(), return_inverse=True)
@@ -217,7 +238,7 @@ def mms_phi(x, t, x0):
 
 def mms_source(x, mu, t, x0):
     """Angular source that makes the manufactured flux solve the transport
-    equation at c = 1, supported where the solution is."""
+    equation at c = 1, supported where the solution is; t broadcasts with x."""
     x = np.asarray(x, dtype=float)
     tp1 = t + 1.0
     val = -np.exp(-0.5 * x * x) * (mu * tp1 * x + 1.0) / (tp1 * tp1)
@@ -291,11 +312,13 @@ def initial_psi(spec: SourceSpec, x, plane_half_width=None):
 def volumetric_source(spec: SourceSpec, x, t):
     """Isotropic volumetric source S(x, t) for standard-mode solves."""
     x = np.asarray(x, dtype=float)
-    if spec.kind == "square-source" and t <= spec.t0:
-        return np.where(np.abs(x) <= spec.x0, spec.amplitude, 0.0)
-    if spec.kind == "gaussian-source" and t <= spec.t0:
-        return spec.amplitude * np.exp(-(x * x) / (spec.sigma * spec.sigma))
-    return np.zeros_like(x)
+    on = np.asarray(t, dtype=float) <= spec.t0
+    if spec.kind == "square-source":
+        return np.where(on & (np.abs(x) <= spec.x0), spec.amplitude, 0.0)
+    if spec.kind == "gaussian-source":
+        profile = spec.amplitude * np.exp(-(x * x) / (spec.sigma * spec.sigma))
+        return np.where(on, profile, 0.0)
+    return np.zeros(np.broadcast(x, on).shape)
 
 
 def kink_radii(spec: SourceSpec, t, uncollided: bool):

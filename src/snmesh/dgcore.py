@@ -26,6 +26,7 @@ from .integrate import IntegratorConfig, IntegrationStats, integrate
 from .mesh import (
     Mesh,
     MeshState,
+    edge_table,
     edges_at,
     hybrid_square_mesh,
     initial_width_for_gaussian,
@@ -34,6 +35,7 @@ from .mesh import (
     static_square_mesh,
     static_uniform_mesh,
 )
+from .projection import cell_moments, projection_points
 from .quadrature import gauss_legendre, gauss_lobatto
 
 SOURCE_MODES = ("standard", "uncollided")
@@ -202,6 +204,8 @@ class TransportSystem:
         self._uncollided = config.source_mode == "uncollided"
         self._boundary_override = None
         self._reflect_left = config.half_domain
+        # source moments of the current step attempt, keyed by stage time
+        self._prepared = {}
         # The per-cell gradient and motion matrices are fixed index patterns
         # scaled by cell width and edge speeds, so the volume terms reduce to
         # two shared (J, J) products plus per-cell scalings (see rhs_coeffs).
@@ -241,77 +245,55 @@ class TransportSystem:
 
     # -- projections -------------------------------------------------------
 
-    def _projection_points(self, ms: MeshState, kinks):
-        """Panel nodes for per-cell projections, split at interior kinks.
+    def project_function(self, times, f, kinks=None):
+        """Per-cell moments (T, K, J) of f(x, t) at each of the times; f
+        takes the node positions and their times as flat arrays.  ``kinks``
+        maps a time to the |x| where f loses smoothness."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        x, node_t, wts, bins, z, widths = projection_points(
+            self.mesh, self._proj_rule, times, kinks
+        )
+        return cell_moments(f(x, node_t), wts, bins, z, widths, self._sq)
 
-        Returns flat arrays (x, weight, cell index, reference coordinate z).
-        """
-        edges = ms.edges
-        rule = self._proj_rule
-        lo, hi = edges[0], edges[-1]
-        extra = [r for s in kinks for r in (-s, s) if lo < r < hi]
-        breaks = np.unique(np.concatenate([edges, np.array(extra)])) if extra else edges
-        mid = 0.5 * (breaks[:-1] + breaks[1:])
-        half = 0.5 * (breaks[1:] - breaks[:-1])
-        # cell edges gathered per panel, not per node
-        cell = np.clip(np.searchsorted(edges, mid, side="right") - 1, 0, ms.n_cells - 1)
-        xl = edges[cell][:, None]
-        xr = edges[cell + 1][:, None]
-        nodes = mid[:, None] + half[:, None] * rule.nodes[None, :]
-        wts = half[:, None] * rule.weights[None, :]
-        z = np.clip((2.0 * nodes - xl - xr) / (xr - xl), -1.0, 1.0)
-        return nodes.ravel(), wts.ravel(), np.repeat(cell, rule.n), z.ravel()
-
-    def _project_profile(self, ms: MeshState, values, wts, cell_idx, z):
-        """Per-cell basis moments of point values sampled at projection nodes."""
-        order = self.config.order
-        k_cells = ms.n_cells
-        sqrt_h = np.sqrt(ms.widths)
-        table = legendre_table(z, order)
-        # one bincount over (moment, cell) bins; each bin still sums its
-        # nodes in node order
-        bins = cell_idx + k_cells * np.arange(order + 1)[:, None]
-        out = np.bincount(
-            bins.ravel(), weights=(table * (wts * values)).ravel(),
-            minlength=(order + 1) * k_cells,
-        ).reshape(order + 1, k_cells).T
-        return out * (self._sq[None, :] / sqrt_h[:, None])
-
-    def project_function(self, ms: MeshState, f, kinks=()):
-        x, wts, cell_idx, z = self._projection_points(ms, kinks)
-        return self._project_profile(ms, f(x), wts, cell_idx, z)
-
-    def source_moments(self, t: float, ms: MeshState):
-        """Projected per-direction source; (K, J) if isotropic, else (N, K, J)."""
+    def source_moments(self, times):
+        """Projected per-direction source at each of the times: (T, K, J) if
+        isotropic, else (T, N, K, J)."""
+        times = np.asarray(times, dtype=float)
         spec = self.spec
         if self._uncollided:
             if spec.kind == "plane-pulse" and self.config.mesh_mode == "moving":
                 # The expanding mesh stays inside the pulse's light cone where
                 # the uncollided flux is spatially constant: only the mean
                 # moment survives and it has a closed form.
-                out = np.zeros((ms.n_cells, self.config.order + 1))
-                plateau = spec.amplitude * np.exp(-t) / (2.0 * t)
-                out[:, 0] = 0.5 * spec.c * plateau * np.sqrt(ms.widths)
+                _, widths = edge_table(self.mesh, times)
+                out = np.zeros(widths.shape + (self.config.order + 1,))
+                plateau = spec.amplitude * np.exp(-times) / (2.0 * times)
+                out[..., 0] = 0.5 * spec.c * plateau[:, None] * np.sqrt(widths)
                 return out
-            kinks = analytic.kink_radii(spec, t, uncollided=True)
-            phi_u = lambda x: analytic.uncollided_scalar_flux(spec, x, t)
-            return 0.5 * spec.c * self.project_function(ms, phi_u, kinks)
+            kinks = lambda t: analytic.kink_radii(spec, t, uncollided=True)
+            phi_u = lambda x, t: analytic.uncollided_scalar_flux(spec, x, t)
+            return 0.5 * spec.c * self.project_function(times, phi_u, kinks)
         if spec.kind == "mms":
             x0 = spec.x0
             even = self.project_function(
-                ms, lambda x: analytic.mms_source(x, 0.0, t, x0)
+                times, lambda x, t: analytic.mms_source(x, 0.0, t, x0)
             )
             slope = self.project_function(
-                ms,
-                lambda x: analytic.mms_source(x, 1.0, t, x0)
+                times,
+                lambda x, t: analytic.mms_source(x, 1.0, t, x0)
                 - analytic.mms_source(x, 0.0, t, x0),
             )
-            return 0.5 * (even[None] + self.mu[:, None, None] * slope[None])
+            return 0.5 * (even[:, None] + self.mu[None, :, None, None] * slope[:, None])
         if spec.kind in ("square-source", "gaussian-source"):
-            kinks = analytic.kink_radii(spec, t, uncollided=False)
-            src = lambda x: analytic.volumetric_source(spec, x, t)
-            return 0.5 * self.project_function(ms, src, kinks)
-        return np.zeros((ms.n_cells, self.config.order + 1))
+            kinks = lambda t: analytic.kink_radii(spec, t, uncollided=False)
+            src = lambda x, t: analytic.volumetric_source(spec, x, t)
+            return 0.5 * self.project_function(times, src, kinks)
+        return np.zeros((times.size, self.config.n_cells, self.config.order + 1))
+
+    def _prepare_sources(self, times):
+        """Stepper hook: the source moments of one step attempt's stage
+        times, kept for rhs_coeffs under the exact float time."""
+        self._prepared = dict(zip(times.tolist(), self.source_moments(times)))
 
     def project_initial_condition(self) -> SolutionState:
         """State at the start time: projected initial flux, or zero in
@@ -320,7 +302,6 @@ class TransportSystem:
         shape = (cfg.n_angles, cfg.n_cells, cfg.order + 1)
         if self._uncollided:
             return SolutionState(np.zeros(shape), self.t_start)
-        ms = self.mesh_at(self.t_start if self.t_start > 0 else 0.0)
         kinks = ()
         plane_w = None
         if self.spec.kind == "square-pulse":
@@ -331,14 +312,17 @@ class TransportSystem:
             # representable, and halving the cells halves the smearing, so the
             # standard treatment converges toward the point pulse rather than
             # toward a fixed smeared problem.
+            ms = self.mesh_at(self.t_start)
             i = int(np.argmin(np.abs(ms.edges)))
             i = min(max(i, 1), ms.n_cells - 1)
             plane_w = float(ms.edges[i + 1] - ms.edges[i])
             kinks = (plane_w,)
         coeffs = self.project_function(
-            ms, lambda x: analytic.initial_psi(self.spec, x, plane_w), kinks
+            [self.t_start],
+            lambda x, t: analytic.initial_psi(self.spec, x, plane_w),
+            lambda t: kinks,
         )
-        return SolutionState(np.broadcast_to(coeffs, shape).copy(), self.t_start)
+        return SolutionState(np.broadcast_to(coeffs[0], shape).copy(), self.t_start)
 
     # -- semidiscrete right-hand side ---------------------------------------
 
@@ -375,10 +359,14 @@ class TransportSystem:
         du -= flux[:, 1:, None] * (self._sq[None, :] * inv_sqrt_h[:, None])[None, :, :]
         du += flux[:, :-1, None] * (self._alt[None, :] * inv_sqrt_h[:, None])[None, :, :]
 
-        # isotropic scattering gain plus external source, added in one pass
+        # isotropic scattering gain plus external source, added in one pass;
+        # the source comes from the step attempt's batch when t is one of
+        # its stage times, else from a batch of one
         gain = np.tensordot(self.weights, u, axes=(0, 0))
         gain *= 0.5 * self.spec.c
-        src = self.source_moments(t, ms)
+        src = self._prepared.get(t)
+        if src is None:
+            src = self.source_moments(np.array([t]))[0]
         if src.ndim == 2:
             gain += src
             du += gain[None, :, :]
@@ -392,25 +380,6 @@ class TransportSystem:
         u = y.reshape(cfg.n_angles, cfg.n_cells, cfg.order + 1)
         return self.rhs_coeffs(t, u).ravel()
 
-    def surface_flux(self, l: int, k: int, state: SolutionState) -> np.ndarray:
-        """Per-moment upwinded surface term for one direction and cell."""
-        cfg = self.config
-        if not 0 <= l < cfg.n_angles:
-            raise ValueError(f"direction index {l} out of range")
-        if not 0 <= k < cfg.n_cells:
-            raise ValueError(f"cell index {k} out of range")
-        ms = self.mesh_at(state.t)
-        u = state.coeffs
-        sqrt_h = np.sqrt(ms.widths)
-        trace_right = (u @ self._sq) / sqrt_h[None, :]
-        trace_left = (u @ self._alt) / sqrt_h[None, :]
-        bc_left, bc_right = self.boundary_values(state.t)
-        from_left = np.concatenate([bc_left[:, None], trace_right], axis=1)
-        from_right = np.concatenate([trace_left, bc_right[:, None]], axis=1)
-        rel = self.mu[:, None] - ms.velocities[None, :]
-        flux = rel * np.where(rel > 0.0, from_left, from_right)
-        return (flux[l, k + 1] * self._sq - flux[l, k] * self._alt) / sqrt_h[k]
-
     # -- time advancement ----------------------------------------------------
 
     def _integrator_config(self, at_start: bool) -> IntegratorConfig:
@@ -422,7 +391,13 @@ class TransportSystem:
     def advance(self, state: SolutionState, t_target: float):
         """Integrate the state to t_target; returns (state, stats)."""
         cfg = self._integrator_config(at_start=state.t <= self.t_start)
-        y, stats = integrate(self.rhs_flat, state.coeffs.ravel(), state.t, t_target, cfg)
+        try:
+            y, stats = integrate(
+                self.rhs_flat, state.coeffs.ravel(), state.t, t_target, cfg,
+                prepare=self._prepare_sources,
+            )
+        finally:
+            self._prepared = {}
         return SolutionState(y.reshape(state.coeffs.shape), t_target), stats
 
     def solve(self, checkpoints=()) -> SolveResult:

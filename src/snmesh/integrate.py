@@ -201,14 +201,21 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One attempt: the 12 stages into K[:12], f(t + h, y_new) into K[12]."""
+def _rk_step(fun, t, y, f, h, K, prepare=None):
+    """One attempt: the 12 stages into K[:12], f(t + h, y_new) into K[12].
+
+    The stage times t + C[1:] h go to ``prepare`` first; the last is t + h
+    (C[11] = 1), the time of the closing evaluation as well.
+    """
+    stage_t = t + _C[1:] * h
+    if prepare is not None:
+        prepare(stage_t)
     K[0] = f
     for s in range(1, _N_STAGES):
         dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = fun(t + _C[s] * h, y + dy)
+        K[s] = fun(stage_t[s - 1], y + dy)
     y_new = y + h * np.dot(K[:-1].T, _B)
-    f_new = fun(t + h, y_new)
+    f_new = fun(stage_t[-1], y_new)
     K[-1] = f_new
     return y_new, f_new
 
@@ -227,9 +234,21 @@ def _error_norm(K, h, scale):
 
 
 def integrate(
-    f: Callable, y0: np.ndarray, t0: float, t1: float, cfg: IntegratorConfig = None
+    f: Callable,
+    y0: np.ndarray,
+    t0: float,
+    t1: float,
+    cfg: IntegratorConfig = None,
+    prepare: Optional[Callable] = None,
 ):
-    """Advance y' = f(t, y) from t0 to exactly t1; returns (y(t1), stats)."""
+    """Advance y' = f(t, y) from t0 to exactly t1; returns (y(t1), stats).
+
+    ``prepare``, if given, is called before every step attempt, accepted or
+    rejected, with the array of the attempt's 11 distinct stage times
+    t + C[1:] h; each later call of f in that attempt gets one of those
+    floats as its time.  Only the first call, at t0, and the starting-step
+    probe run at times no hook has seen.
+    """
     if cfg is None:
         cfg = IntegratorConfig()
     if t1 < t0:
@@ -280,7 +299,7 @@ def integrate(
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f_cur, h, K)
+            y_new, f_new = _rk_step(fun, t, y, f_cur, h, K, prepare)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(K, h, scale)
             if not np.isfinite(error_norm):

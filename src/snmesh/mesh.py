@@ -61,12 +61,21 @@ class Mesh:
         return self.initial_edges.size - 1
 
 
+def edge_table(mesh: Mesh, times):
+    """Edges and cell widths at each of the given times, shapes
+    times.shape + (K + 1,) and times.shape + (K,); cells must have positive
+    width at every time."""
+    times = np.asarray(times, dtype=float)
+    edges = mesh.initial_edges + mesh.velocities * times[..., None]
+    widths = edges[..., 1:] - edges[..., :-1]
+    if np.any(widths <= 0.0):
+        raise ValueError(f"mesh law {mesh.law!r} has degenerate cells at t={times}")
+    return edges, widths
+
+
 def edges_at(mesh: Mesh, t: float) -> MeshState:
     """Mesh state at time t; cells must have positive width there."""
-    edges = mesh.initial_edges + mesh.velocities * t
-    widths = edges[1:] - edges[:-1]
-    if np.any(widths <= 0.0):
-        raise ValueError(f"mesh law {mesh.law!r} has degenerate cells at t={t}")
+    edges, widths = edge_table(mesh, t)
     # the law's velocities are read-only, so the state can share them
     return MeshState(edges, mesh.velocities, widths, float(t))
 

@@ -55,9 +55,8 @@ def mms_projection_floor(spec, order, n_cells, n_angles, t_final, grid):
     cfg = RunConfig(spec=spec, n_angles=n_angles, order=order, n_cells=n_cells,
                     mesh_mode="moving", source_mode="standard", t_final=t_final)
     system = TransportSystem(cfg)
-    ms = system.mesh_at(t_final)
     psi = system.project_function(
-        ms, lambda x: analytic.mms_solution(x, t_final, spec.x0))
+        [t_final], lambda x, t: analytic.mms_solution(x, t, spec.x0))[0]
     state = SolutionState(
         np.broadcast_to(psi, (n_angles, n_cells, order + 1)).copy(), t_final)
     exact = analytic.mms_phi(grid, t_final, spec.x0)

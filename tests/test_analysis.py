@@ -1,5 +1,10 @@
 """Fits, gates, and the cached reference-solution machinery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -181,6 +186,34 @@ class TestOracleCache:
         meta, data = analysis._read_oracle_file(path)
         assert meta["fingerprint"] == key
         np.testing.assert_array_equal(data[:, 1], phi)
+
+    def test_committed_oracle_rebuilds_byte_identical(self, tmp_path):
+        # the cheapest committed oracle (gaussian pulse, N8 K32, order 10,
+        # t = 0.5), rebuilt by a fresh process at one BLAS thread into an
+        # empty cache, must match the committed file byte for byte: a solver
+        # change that moves any bit of a cached result shows up here
+        name = "oracle-f1fea2e29860c065c47c6e2c.csv"
+        committed = Path(__file__).resolve().parents[1] / ".snmesh_cache" / name
+        code = (
+            "import sys\n"
+            "from snmesh import analysis\n"
+            "from snmesh.analytic import SourceSpec\n"
+            "from snmesh.dgcore import RunConfig\n"
+            "spec = SourceSpec(kind='gaussian-pulse', c=1.0, sigma=0.5)\n"
+            "config = RunConfig(spec=spec, n_angles=8, order=10, n_cells=32,\n"
+            "                   mesh_mode='moving', source_mode='uncollided',\n"
+            "                   t_final=0.5, rtol=5e-13, atol=1e-12)\n"
+            "grid = analysis.analysis_grid(spec, 0.5)\n"
+            "analysis._oracle_solve(config, grid, analysis.Path(sys.argv[1]))\n"
+        )
+        src = Path(analysis.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), SNMESH_CACHE_DIR=str(tmp_path))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                       check=True, timeout=300)
+        assert [p.name for p in tmp_path.glob("oracle-*.csv")] == [name]
+        assert (tmp_path / name).read_bytes() == committed.read_bytes()
 
     def test_corrupt_cache_file_rejected(self, tmp_path):
         bad = tmp_path / "oracle-deadbeef.csv"

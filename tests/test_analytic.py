@@ -180,6 +180,53 @@ class TestGaussianSourceArrays:
         np.testing.assert_allclose(got, t * np.exp(-self.X ** 2 / SIGMA ** 2), rtol=1e-14)
 
 
+class TestTimeArrays:
+    """An array t that broadcasts with x gives, element by element, the bits
+    of a call at each time alone: the batched source projection relies on
+    it.  Times cover t = 0, the wavefront and cut-off events of x0 = 0.5 and
+    t0 = 1 (t = x0, t0, t0 +- x0) and both sides of them."""
+
+    T0_SHORT = 1.0
+    TIMES = np.array([0.0, 1e-13, 0.3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 1.0, 1.2, 1.5, 2.0])
+    X = np.linspace(-2.6, 2.6, 27)
+
+    FUNCTIONS = {
+        "plane": lambda x, t: an.phi_u_plane(x, t),
+        "square-pulse": lambda x, t: an.phi_u_square_pulse(x, t, X0),
+        "gaussian-pulse": lambda x, t: an.phi_u_gaussian_pulse(x, t, SIGMA),
+        "square-source": lambda x, t: an.phi_u_square_source(x, t, X0, 1.0),
+        "gaussian-source": lambda x, t: an.phi_u_gaussian_source(x, t, SIGMA, 1.0),
+        "mms": lambda x, t: an.mms_source(x, 1.0, t, 0.1),
+        "volumetric-square": lambda x, t: an.volumetric_source(
+            SourceSpec("square-source", x0=X0, t0=1.0), x, t),
+        "volumetric-gaussian": lambda x, t: an.volumetric_source(
+            SourceSpec("gaussian-source", sigma=SIGMA, t0=1.0), x, t),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_grid_of_times_equals_per_time_calls(self, name):
+        f = self.FUNCTIONS[name]
+        times = self.TIMES[1:] if name == "plane" else self.TIMES
+        got = f(self.X[None, :], times[:, None])
+        assert got.shape == (times.size, self.X.size)
+        want = np.stack([np.broadcast_to(f(self.X, float(t)), self.X.shape)
+                         for t in times])
+        np.testing.assert_array_equal(got, want)
+
+    def test_gaussian_source_flat_batch_equals_per_time_calls(self):
+        # flat points grouped by time, as the projection passes them: each
+        # time's points share one adaptive integral, as in a call alone.
+        # The panels stop on the largest error over a call's points, so the
+        # lone far point at t = 6.5 (~4e-18) moves if other points join it
+        groups = [(6.5, np.array([9.0])), (0.3, self.X), (1.7, self.X[::3] + 0.1)]
+        x = np.concatenate([pts for _, pts in groups])
+        times = np.concatenate([np.full(pts.size, t) for t, pts in groups])
+        got = an.phi_u_gaussian_source(x, times, SIGMA, T0)
+        want = np.concatenate([an.phi_u_gaussian_source(pts, t, SIGMA, T0)
+                               for t, pts in groups])
+        np.testing.assert_array_equal(got, want)
+
+
 def ei_reference(y):
     """Ei(y) for y < 0 via the power series (small |y|) or the continued
     fraction for E1 evaluated with the modified Lentz scheme (large |y|)."""

@@ -3,7 +3,9 @@
 The right-hand side is validated two ways that share no assembly code with
 rhs_coeffs: once against per-cell matrices built by snmesh.basis, and once
 against exact characteristic solutions (free streaming decouples the
-directions, so each discrete ordinate must advect its own profile).
+directions, so each discrete ordinate must advect its own profile).  The
+source moments, evaluated for all stage times of a step attempt at once,
+are checked bit for bit against a one-time-at-a-time projection kept here.
 """
 
 import numpy as np
@@ -22,13 +24,16 @@ from snmesh.dgcore import (
     build_mesh,
     start_time,
 )
+from snmesh.integrate import _C
 
 
 def make_config(kind="gaussian-pulse", c=1.0, mesh="static", mode="standard",
-                K=8, M=4, N=8, t_final=1.0, x0=0.5, sigma=0.5, t0=5.0, amplitude=1.0):
+                K=8, M=4, N=8, t_final=1.0, x0=0.5, sigma=0.5, t0=5.0, amplitude=1.0,
+                half_domain=False):
     spec = SourceSpec(kind=kind, c=c, x0=x0, sigma=sigma, t0=t0, amplitude=amplitude)
     return RunConfig(spec=spec, n_angles=N, n_cells=K, order=M,
-                     mesh_mode=mesh, source_mode=mode, t_final=t_final)
+                     mesh_mode=mesh, source_mode=mode, t_final=t_final,
+                     half_domain=half_domain)
 
 
 def eval_direction(system, state, l, pts):
@@ -44,6 +49,28 @@ def eval_direction(system, state, l, pts):
     return np.einsum("pj,jp->p", scaled[cell], table)
 
 
+def reference_surface(system, u, t):
+    """Upwinded surface term (N, K, J), from the mesh state and the edge
+    traces of u alone.  On a half-domain system the inflow at the origin in
+    direction mu is the outgoing trace in direction -mu."""
+    ms = system.mesh_at(t)
+    j = np.arange(u.shape[2])
+    right = np.sqrt(2.0 * j + 1.0)  # sqrt(2j + 1) P_j(1)
+    left = right * (-1.0) ** j  # sqrt(2j + 1) P_j(-1)
+    sqrt_h = np.sqrt(ms.widths)
+    trace_right = (u @ right) / sqrt_h
+    trace_left = (u @ left) / sqrt_h
+    bc_left, bc_right = system.boundary_values(t)
+    if system.config.half_domain:
+        mirror = [int(np.argmin(np.abs(system.mu + mu))) for mu in system.mu]
+        bc_left = trace_left[mirror, 0]
+    from_left = np.concatenate([bc_left[:, None], trace_right], axis=1)
+    from_right = np.concatenate([trace_left, bc_right[:, None]], axis=1)
+    rel = system.mu[:, None] - ms.velocities[None, :]
+    flux = rel * np.where(rel > 0.0, from_left, from_right)
+    return (flux[:, 1:, None] * right - flux[:, :-1, None] * left) / sqrt_h[None, :, None]
+
+
 def reference_rhs(system, t, u):
     """Independent assembly: per-cell matrices, explicit loops."""
     ms = system.mesh_at(t)
@@ -55,12 +82,10 @@ def reference_rhs(system, t, u):
     for a in range(n):
         for cell in range(k):
             du[a, cell] = G[cell] @ u[a, cell] + system.mu[a] * (L[cell] @ u[a, cell])
-    for a in range(n):
-        for cell in range(k):
-            du[a, cell] -= system.surface_flux(a, cell, SolutionState(u, t))
+    du -= reference_surface(system, u, t)
     phi = np.tensordot(system.weights, u, axes=(0, 0))
     du = du - u + 0.5 * system.spec.c * phi[None, :, :]
-    src = system.source_moments(t, ms)
+    src = system.source_moments([t])[0]
     return du + (src[None, :, :] if src.ndim == 2 else src)
 
 
@@ -84,6 +109,19 @@ class TestRhsDualRoute:
         got = system.rhs_coeffs(t, u)
         want = reference_rhs(system, t, u)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+    def test_half_domain_mirror_inflow(self):
+        # plane pulse u+m on the right half: the left inflow is the mirror
+        # trace, so a wrong pairing of directions shows at O(1)
+        cfg = make_config(kind="plane-pulse", c=0.85, mesh="moving", mode="uncollided",
+                          K=4, M=5, N=8, half_domain=True)
+        system = TransportSystem(cfg)
+        u = np.random.default_rng(7).standard_normal((8, 4, 6))
+        got = system.rhs_coeffs(0.9, u)
+        np.testing.assert_allclose(got, reference_rhs(system, 0.9, u), rtol=0, atol=1e-11)
+        # the case exercises the mirror: with a zero inflow the RHS moves at O(1)
+        system._reflect_left = False
+        assert np.max(np.abs(system.rhs_coeffs(0.9, u) - got)) > 1e-2
 
 
 class TestFreeStreaming:
@@ -142,12 +180,12 @@ class TestPolynomialExactness:
         system = TransportSystem(cfg)
         psi, psi_t, psi_x = self.psi, self.psi_t, self.psi_x
 
-        def source(t, ms):
+        def source(times):
             # psi_t + mu psi_x + psi - (c / 2) phi with phi = 2 psi
             even = system.project_function(
-                ms, lambda x: psi_t(x, t) + (1.0 - c) * psi(x, t))
-            slope = system.project_function(ms, lambda x: psi_x(x, t))
-            return even[None] + system.mu[:, None, None] * slope[None]
+                times, lambda x, t: psi_t(x, t) + (1.0 - c) * psi(x, t))
+            slope = system.project_function(times, psi_x)
+            return even[:, None] + system.mu[None, :, None, None] * slope[:, None]
 
         def inflow(t):
             edges = system.mesh_at(t).edges
@@ -157,10 +195,10 @@ class TestPolynomialExactness:
         system.source_moments = source
         system._boundary_override = inflow
         shape = (cfg.n_angles, cfg.n_cells, cfg.order + 1)
-        start = system.project_function(system.mesh_at(0.0), lambda x: psi(x, 0.0))
+        start = system.project_function([0.0], psi)[0]
         state = SolutionState(np.broadcast_to(start, shape).copy(), 0.0)
         state, _ = system.advance(state, 1.0)
-        want = system.project_function(system.mesh_at(1.0), lambda x: psi(x, 1.0))
+        want = system.project_function([1.0], psi)[0]
         np.testing.assert_allclose(state.coeffs, np.broadcast_to(want, shape),
                                    rtol=0, atol=1e-11)
 
@@ -195,10 +233,9 @@ class TestSourceMoments:
                           mode="uncollided", K=8, M=4, N=8, x0=0.0)
         system = TransportSystem(cfg)
         t = 0.3
-        ms = system.mesh_at(t)
-        closed = system.source_moments(t, ms)
-        phi_u = lambda x: an.uncollided_scalar_flux(system.spec, x, t)
-        numeric = 0.5 * system.spec.c * system.project_function(ms, phi_u)
+        closed = system.source_moments([t])[0]
+        phi_u = lambda x, t: an.uncollided_scalar_flux(system.spec, x, t)
+        numeric = 0.5 * system.spec.c * system.project_function([t], phi_u)[0]
         np.testing.assert_allclose(closed, numeric, rtol=0, atol=1e-10)
 
     def test_uncollided_square_moments_integrate_the_flux(self):
@@ -207,7 +244,7 @@ class TestSourceMoments:
         system = TransportSystem(cfg)
         t = 0.6
         ms = system.mesh_at(t)
-        mom = system.source_moments(t, ms)
+        mom = system.source_moments([t])[0]
         total = np.sum(mom[:, 0] * np.sqrt(ms.widths))
         want = 0.5 * float(an.uncollided_integral(system.spec, t))
         assert total == pytest.approx(want, rel=1e-9)
@@ -215,20 +252,150 @@ class TestSourceMoments:
     def test_standard_mode_pulse_has_no_volume_source(self):
         cfg = make_config(kind="gaussian-pulse", mesh="static", mode="standard")
         system = TransportSystem(cfg)
-        ms = system.mesh_at(0.5)
-        assert np.all(system.source_moments(0.5, ms) == 0.0)
+        assert np.all(system.source_moments([0.5]) == 0.0)
 
     def test_mms_source_is_angle_resolved(self):
         cfg = make_config(kind="mms", mesh="moving", mode="standard",
                           K=4, M=5, N=8, x0=0.1)
         system = TransportSystem(cfg)
-        ms = system.mesh_at(0.5)
-        src = system.source_moments(0.5, ms)
+        src = system.source_moments([0.5])[0]
         assert src.shape == (8, 4, 6)
         # linear in mu: the midpoint of opposite directions equals mu = 0
         mid = 0.5 * (src[0] + src[-1])
         inner = 0.5 * (src[3] + src[4])
         np.testing.assert_allclose(mid, inner, rtol=0, atol=1e-12)
+
+
+def _per_time_points(system, ms, kinks):
+    """Panel nodes of one time, as the solver built them before it batched
+    over stage times: (x, weight, cell, z)."""
+    edges = ms.edges
+    rule = system._proj_rule
+    lo, hi = edges[0], edges[-1]
+    extra = [r for s in kinks for r in (-s, s) if lo < r < hi]
+    breaks = np.unique(np.concatenate([edges, np.array(extra)])) if extra else edges
+    mid = 0.5 * (breaks[:-1] + breaks[1:])
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    cell = np.clip(np.searchsorted(edges, mid, side="right") - 1, 0, ms.n_cells - 1)
+    xl = edges[cell][:, None]
+    xr = edges[cell + 1][:, None]
+    nodes = mid[:, None] + half[:, None] * rule.nodes[None, :]
+    wts = half[:, None] * rule.weights[None, :]
+    z = np.clip((2.0 * nodes - xl - xr) / (xr - xl), -1.0, 1.0)
+    return nodes.ravel(), wts.ravel(), np.repeat(cell, rule.n), z.ravel()
+
+
+def _per_time_project(system, ms, f, kinks=()):
+    """(K, J) moments of f at one time: the full Legendre table and one
+    bincount over (moment, cell) bins."""
+    x, wts, cell, z = _per_time_points(system, ms, kinks)
+    order, k_cells = system.config.order, ms.n_cells
+    table = legendre_table(z, order)
+    bins = cell + k_cells * np.arange(order + 1)[:, None]
+    out = np.bincount(bins.ravel(), weights=(table * (wts * f(x))).ravel(),
+                      minlength=(order + 1) * k_cells).reshape(order + 1, k_cells).T
+    return out * (system._sq[None, :] / np.sqrt(ms.widths)[:, None])
+
+
+def per_time_source(system, t):
+    """Source moments at one time through the analytic functions at a
+    scalar t: the reference the batched evaluation must equal bit for bit."""
+    spec, ms = system.spec, system.mesh_at(t)
+    if system.config.source_mode == "uncollided":
+        if spec.kind == "plane-pulse" and system.config.mesh_mode == "moving":
+            out = np.zeros((ms.n_cells, system.config.order + 1))
+            plateau = spec.amplitude * np.exp(-t) / (2.0 * t)
+            out[:, 0] = 0.5 * spec.c * plateau * np.sqrt(ms.widths)
+            return out
+        kinks = an.kink_radii(spec, t, uncollided=True)
+        phi_u = lambda x: an.uncollided_scalar_flux(spec, x, t)
+        return 0.5 * spec.c * _per_time_project(system, ms, phi_u, kinks)
+    if spec.kind == "mms":
+        even = _per_time_project(system, ms, lambda x: an.mms_source(x, 0.0, t, spec.x0))
+        slope = _per_time_project(
+            system, ms,
+            lambda x: an.mms_source(x, 1.0, t, spec.x0) - an.mms_source(x, 0.0, t, spec.x0))
+        return 0.5 * (even[None] + system.mu[:, None, None] * slope[None])
+    if spec.kind in an.SOURCE_KINDS:
+        kinks = an.kink_radii(spec, t, uncollided=False)
+        src = lambda x: an.volumetric_source(spec, x, t)
+        return 0.5 * _per_time_project(system, ms, src, kinks)
+    return np.zeros((ms.n_cells, system.config.order + 1))
+
+
+def _feasible_variants():
+    out = []
+    for kind in an.KINDS:
+        for mode in ("standard", "uncollided"):
+            for mesh in ("static", "moving"):
+                try:
+                    make_config(kind=kind, mode=mode, mesh=mesh, x0=0.5, t0=1.0)
+                except ValueError:
+                    continue
+                out.append((kind, mode, mesh))
+    return out
+
+
+class TestBatchedSourceMoments:
+    """One evaluation for all stage times of a DOP853 attempt equals the
+    per-time evaluation bit for bit.  x0 = 0.5 and t0 = 1 put kink events
+    at t = x0 = t0 - x0 and t = t0 + x0 and the source cut-off at t = t0;
+    the attempts (t, h) straddle each of them."""
+
+    ATTEMPTS = [(0.45, 0.1), (0.95, 0.1), (1.45, 0.1), (0.2, 1e-3)]
+
+    @pytest.mark.parametrize("kind,mode,mesh", _feasible_variants())
+    def test_stage_batch_equals_per_time(self, kind, mode, mesh):
+        cfg = make_config(kind=kind, c=0.8 if kind != "mms" else 1.0, mode=mode,
+                          mesh=mesh, K=8, M=4, N=4, x0=0.5, t0=1.0, t_final=2.0)
+        system = TransportSystem(cfg)
+        for t, h in self.ATTEMPTS:
+            times = t + _C[1:] * h
+            got = system.source_moments(times)
+            want = np.stack([per_time_source(system, tt) for tt in times])
+            np.testing.assert_array_equal(got, want)
+        # a batch of one: the first RHS call and the starting-step probe
+        np.testing.assert_array_equal(system.source_moments([0.7])[0],
+                                      per_time_source(system, 0.7))
+
+    @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
+    def test_kinks_an_ulp_from_an_edge(self, ulps):
+        # panels an ulp or two wide: their midpoints may round onto an edge,
+        # which must pick the cell a search of the edges picks
+        cfg = make_config(kind="gaussian-pulse", mesh="moving", K=8, M=3, N=4)
+        system = TransportSystem(cfg)
+        times = 0.3 + _C[1:] * 0.05
+        def kinks(t):
+            edge = system.mesh_at(t).edges[5]
+            step = np.inf if ulps > 0 else -np.inf
+            for _ in range(abs(ulps)):
+                edge = np.nextafter(edge, step)
+            return (abs(edge),)
+        f = lambda x, t: np.exp(-x * x) * (1.0 + t)
+        got = system.project_function(times, f, kinks)
+        for tt, row in zip(times, got):
+            want = _per_time_project(system, system.mesh_at(tt),
+                                     lambda x: f(x, tt), kinks(tt))
+            np.testing.assert_array_equal(row, want)
+
+    def test_prepared_attempt_feeds_the_rhs(self):
+        cfg = make_config(kind="square-source", mode="uncollided", mesh="moving",
+                          K=8, M=3, N=4, x0=0.5, t0=1.0)
+        system = TransportSystem(cfg)
+        u = np.random.default_rng(3).standard_normal((4, 8, 4))
+        times = 0.45 + _C[1:] * 0.1
+        cold = [system.rhs_coeffs(tt, u) for tt in times]
+        system._prepare_sources(times)
+        assert set(system._prepared) == set(times.tolist())
+        for tt, want in zip(times, cold):
+            np.testing.assert_array_equal(system.rhs_coeffs(tt, u), want)
+
+    def test_advance_leaves_no_prepared_sources(self):
+        cfg = make_config(kind="square-source", mode="uncollided", mesh="static",
+                          K=4, M=2, N=4, t_final=0.2)
+        system = TransportSystem(cfg)
+        system.solve()
+        assert system._prepared == {}
 
 
 class TestManufacturedResidual:
@@ -240,9 +407,8 @@ class TestManufacturedResidual:
         x0 = 0.1
 
         def coeffs_at(tt):
-            ms = system.mesh_at(tt)
-            c = system.project_function(ms, lambda x: an.mms_solution(x, tt, x0))
-            return np.broadcast_to(c, (8, 4, order + 1)).copy()
+            c = system.project_function([tt], lambda x, t: an.mms_solution(x, t, x0))
+            return np.broadcast_to(c[0], (8, 4, order + 1)).copy()
 
         eps = 1e-6
         dudt = (coeffs_at(t + eps) - coeffs_at(t - eps)) / (2.0 * eps)
@@ -424,15 +590,6 @@ class TestObservables:
         collided = system.collided_scalar_flux(res.state, pts)
         u_part = an.uncollided_scalar_flux(system.spec, pts, res.state.t)
         np.testing.assert_allclose(total, collided + u_part, rtol=1e-13)
-
-    def test_surface_flux_validates_indices(self):
-        cfg = make_config()
-        system = TransportSystem(cfg)
-        state = system.project_initial_condition()
-        with pytest.raises(ValueError):
-            system.surface_flux(99, 0, state)
-        with pytest.raises(ValueError):
-            system.surface_flux(0, 99, state)
 
 
 class TestConfigValidation:

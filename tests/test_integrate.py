@@ -203,3 +203,97 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# The stage-time hook: the solver evaluates each attempt's source moments in
+# one batch before the stages run.
+
+
+def _record_attempts(monkeypatch):
+    """Spy on the attempt routine: returns the list of (t, h) it gets."""
+    attempts = []
+    rk_step = stepper._rk_step
+
+    def spy(fun, t, y, f, h, *rest):
+        attempts.append((t, h))
+        return rk_step(fun, t, y, f, h, *rest)
+
+    monkeypatch.setattr(stepper, "_rk_step", spy)
+    return attempts
+
+
+@pytest.mark.parametrize("first_step", [None, 1e-3])
+def test_hook_sees_every_attempt_and_every_stage_time(monkeypatch, first_step):
+    attempts = _record_attempts(monkeypatch)
+    events = []  # ("hook", times) and ("rhs", t) in call order
+
+    def rhs(t, y):
+        events.append(("rhs", t))
+        return np.array([1.0 / np.sqrt(abs(t - 0.5) + 1e-8)])
+
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, first_step=first_step)
+    _, stats = integrate(rhs, np.array([0.0]), 0.0, 1.0, cfg,
+                         prepare=lambda times: events.append(("hook", times.copy())))
+    hooks = [v for kind, v in events if kind == "hook"]
+    assert stats.steps_rejected >= 1
+    assert len(hooks) == len(attempts) == stats.steps_accepted + stats.steps_rejected
+    for times, (t, h) in zip(hooks, attempts):
+        assert times.shape == (11,)
+        np.testing.assert_array_equal(times, t + stepper._C[1:] * h)
+    # only f(t0) and the starting-step probe precede the first hook
+    unprepared = 1 if first_step else 2
+    assert [kind for kind, _ in events[:unprepared + 1]] == ["rhs"] * unprepared + ["hook"]
+    prepared = None
+    for kind, v in events[unprepared:]:
+        if kind == "hook":
+            prepared = set(v.tolist())
+        else:
+            assert v in prepared
+    assert sum(kind == "rhs" for kind, _ in events) == stats.n_rhs
+
+
+@pytest.mark.parametrize("name", ["decay", "oscillator", "kink", "square-source-u+m"])
+def test_hook_changes_no_bit(monkeypatch, name):
+    # the transport case runs with the solver's own hook, which serves its
+    # stage sources from one batch; the others with a recording hook
+    rhs, y0, t0, t1, cfg = _parity_case(name)
+    owner = getattr(rhs, "__self__", None)
+    prepare = owner._prepare_sources if owner is not None else lambda times: None
+    runs = []
+    for hook in (None, prepare):
+        attempts = _record_attempts(monkeypatch)
+        y, stats = integrate(rhs, y0, t0, t1, cfg, prepare=hook)
+        starts = [t for t, _ in attempts]
+        accepted_t = [b for a, b in zip(starts, starts[1:]) if b != a] + [t1]
+        runs.append((y, accepted_t, stats))
+        monkeypatch.undo()
+    (y_plain, t_plain, s_plain), (y_hook, t_hook, s_hook) = runs
+    np.testing.assert_array_equal(y_hook, y_plain)
+    np.testing.assert_array_equal(t_hook, t_plain)
+    assert s_hook == s_plain
+    if owner is not None:
+        assert owner._prepared  # the batch was used, not bypassed
+
+
+def test_solver_passes_the_state_second(monkeypatch):
+    # profilers read the state size from integrate's second positional
+    # argument; the solver must keep passing y0 there
+    from snmesh import dgcore
+
+    seen = []
+    real = dgcore.integrate
+
+    def recorder(*args, **kwargs):
+        seen.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dgcore, "integrate", recorder)
+    spec = SourceSpec("square-source", c=1.0, x0=0.5, t0=5.0)
+    system = TransportSystem(RunConfig(spec, 4, 2, 4, "moving", "uncollided", t_final=0.1))
+    system.solve()
+    assert seen
+    for args, kwargs in seen:
+        assert isinstance(args[1], np.ndarray) and args[1].size == 4 * 4 * 3
+        assert args[2] < args[3]
+        assert kwargs["prepare"] == system._prepare_sources
