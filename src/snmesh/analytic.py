@@ -72,6 +72,18 @@ def exp_integral_Ei(y):
 # Uncollided scalar fluxes.
 
 
+def _per_run(f, t):
+    """f(t) evaluated once per run of equal values in t: a batched
+    projection passes each time's nodes as one run, so a function of time
+    alone runs once per time."""
+    flat = t.ravel()
+    if flat.size < 2:
+        return f(t)
+    start = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    counts = np.diff(np.append(start, flat.size))
+    return np.repeat(f(flat[start]), counts).reshape(t.shape)
+
+
 def phi_u_plane(x, t):
     """Uncollided flux of a unit plane pulse fired at the origin at t = 0."""
     t = np.asarray(t, dtype=float)
@@ -128,7 +140,7 @@ def phi_u_square_source(x, t, x0, t0):
     b = np.maximum(np.minimum(d, t - ax - x0), 0.0)
     cc = np.maximum(np.minimum(d, t + ax - x0), 0.0)
     ei_b = expi(b - t)
-    ei_0 = expi(-t)
+    ei_0 = _per_run(lambda s: expi(-s), t)
     arg_c = cc - t
     # arg_c only reaches 0 at |x| = x0, where its prefactor vanishes; patch
     # the Ei singularity so 0 * (-inf) does not produce a NaN.

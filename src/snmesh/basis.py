@@ -91,7 +91,10 @@ def motion_matrix(basis: CellBasis):
     )[0]
 
 
-def _index_masks(order):
+def index_masks(order):
+    """sqrt((2i + 1)(2j + 1)) and the masks of the odd (i + j odd, j < i)
+    and even (i + j even, j <= i - 2) couplings below the diagonal, (J, J)
+    each: the index patterns of the gradient and motion matrices."""
     i = np.arange(order + 1)[:, None]
     j = np.arange(order + 1)[None, :]
     coupled = np.sqrt((2 * i + 1) * (2 * j + 1)).astype(float)
@@ -102,7 +105,7 @@ def _index_masks(order):
 
 def gradient_matrices(order, x_left, x_right):
     """Stacked L matrices for cells given as arrays of edges, shape (K, J, J)."""
-    coupled, odd_lower, even_lower = _index_masks(order)
+    coupled, odd_lower, even_lower = index_masks(order)
     h = np.asarray(x_right, dtype=float) - np.asarray(x_left, dtype=float)
     base = np.where(odd_lower, 2.0 * coupled, 0.0)
     return base[None, :, :] / h[:, None, None]
@@ -116,7 +119,7 @@ def motion_matrices(order, x_left, x_right, v_left, v_right):
     -sqrt((2i+1)(2j+1)) * hdot / h          for even i + j (j <= i - 2),
     and zero above the diagonal.
     """
-    coupled, odd_lower, even_lower = _index_masks(order)
+    coupled, odd_lower, even_lower = index_masks(order)
     x_left = np.asarray(x_left, dtype=float)
     x_right = np.asarray(x_right, dtype=float)
     v_left = np.asarray(v_left, dtype=float)

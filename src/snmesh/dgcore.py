@@ -11,17 +11,30 @@ where G and L are the motion and gradient matrices of the cell basis, surf is
 the upwinded surface term, and s holds the per-direction projected source
 (half the volumetric source in standard mode, (c / 2) phi_u in uncollided
 mode).
+
+The right-hand side keeps that (N, K, J) layout at its interface, but works
+moment-major inside, on a (J, N, K) buffer.  Its elementwise factors vary
+by direction and cell, or by cell alone, so in that order each one
+broadcasts over a long inner loop instead of over the J = order + 1
+moments, and at these sizes a numpy pass costs mostly its fixed overhead.
+The volume products run as (J, J) patterns times the transposed state, the
+last sum writes the (N, K, J) result through a transposed view, and every
+element sees the same floating-point operations in the same order as an
+(N, K, J) assembly would apply.  The mesh factors, like the source
+moments, depend on time alone: they are computed once per step attempt for
+all its stage times (once per solve on a static mesh).
 """
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from . import analytic
 from .analytic import SourceSpec
-from .basis import legendre_table
+from .basis import index_masks, legendre_table
 from .integrate import IntegratorConfig, IntegrationStats, integrate
 from .mesh import (
     Mesh,
@@ -204,18 +217,16 @@ class TransportSystem:
         self._uncollided = config.source_mode == "uncollided"
         self._boundary_override = None
         self._reflect_left = config.half_domain
-        # source moments of the current step attempt, keyed by stage time
+        # source moments and mesh factors of the current step attempt,
+        # keyed by stage time
         self._prepared = {}
         # The per-cell gradient and motion matrices are fixed index patterns
         # scaled by cell width and edge speeds, so the volume terms reduce to
         # two shared (J, J) products plus per-cell scalings (see rhs_coeffs).
-        coupled = np.sqrt(np.outer(2.0 * j + 1.0, 2.0 * j + 1.0))
-        lower = j[:, None] > j[None, :]
-        parity = (j[:, None] + j[None, :]) % 2
-        self._odd_pattern = np.where(lower & (parity == 1), coupled, 0.0).T.copy()
-        self._even_pattern = np.where(
-            (j[:, None] >= j[None, :] + 2) & (parity == 0), coupled, 0.0
-        ).T.copy()
+        # Row i of a pattern gathers the moments that feed moment i.
+        coupled, odd_lower, even_lower = index_masks(config.order)
+        self._odd_pattern = np.where(odd_lower, coupled, 0.0)
+        self._even_pattern = np.where(even_lower, coupled, 0.0)
         self._diag_weights = 2.0 * j + 1.0
         # Every mesh law moves its edges at constant velocity, so the edge
         # speed terms and the upwind choice hold for the whole solve.
@@ -225,6 +236,10 @@ class TransportSystem:
         self._odd_speed = 2.0 * self.mu[:, None] - (vel[:-1] + vel[1:])[None, :]
         self._rel = self.mu[:, None] - vel[None, :]
         self._upwind_left = self._rel > 0.0
+        # a static mesh has one set of factors for the whole solve
+        self._static_factors = (
+            None if vel.any() else self._mesh_factors(np.zeros(1))[0]
+        )
 
     # -- mesh and boundary -------------------------------------------------
 
@@ -290,10 +305,35 @@ class TransportSystem:
             return 0.5 * self.project_function(times, src, kinks)
         return np.zeros((times.size, self.config.n_cells, self.config.order + 1))
 
+    def _mesh_factors(self, times):
+        """Per-time scalings of the RHS, in its moment-major layout: 1/sqrt(h)
+        (K,), the diagonal with the collision loss (J, K), the odd (N, K)
+        and even (K,) volume factors, and the right and left trace factors
+        (J, K) of the surface term."""
+        _, h = edge_table(self.mesh, times)
+        inv_sqrt_h = 1.0 / np.sqrt(h)
+        diag = (-0.5 * self._hdot / h)[:, None, :] * self._diag_weights[:, None] - 1.0
+        odd = self._odd_speed / h[:, None, :]
+        right = self._sq[:, None] * inv_sqrt_h[:, None, :]
+        left = self._alt[:, None] * inv_sqrt_h[:, None, :]
+        return list(zip(inv_sqrt_h, diag, odd, self._hdot / h, right, left))
+
+    def _stage_terms(self, times):
+        """(source moments, mesh factors) of the RHS at each of the times."""
+        factors = (
+            self._mesh_factors(times)
+            if self._static_factors is None
+            else repeat(self._static_factors)
+        )
+        return zip(self.source_moments(times), factors)
+
     def _prepare_sources(self, times):
-        """Stepper hook: the source moments of one step attempt's stage
-        times, kept for rhs_coeffs under the exact float time."""
-        self._prepared = dict(zip(times.tolist(), self.source_moments(times)))
+        """Stepper hook: the source moments and mesh factors of one step
+        attempt's stage times, kept for rhs_coeffs under the exact float
+        time."""
+        # drop the last attempt's batch before building the next one
+        self._prepared = {}
+        self._prepared = dict(zip(times.tolist(), self._stage_terms(times)))
 
     def project_initial_condition(self) -> SolutionState:
         """State at the start time: projected initial flux, or zero in
@@ -327,53 +367,62 @@ class TransportSystem:
     # -- semidiscrete right-hand side ---------------------------------------
 
     def rhs_coeffs(self, t: float, u: np.ndarray) -> np.ndarray:
-        ms = self.mesh_at(t)
-        h = ms.widths
-        inv_sqrt_h = 1.0 / np.sqrt(h)
+        # the step attempt's batch holds the source and mesh factors of its
+        # stage times; any other time is a batch of one
+        terms = self._prepared.get(t)
+        if terms is None:
+            terms = next(self._stage_terms(np.array([t])))
+        src, (inv_sqrt_h, diag, odd_fac, even_fac, right, left) = terms
         n, k_cells, j_funcs = u.shape
-        hdot = self._hdot
-        # volume terms: (G + mu L) u assembled from the shared patterns,
-        # with the collision loss -u folded into the diagonal factor
         flat = u.reshape(n * k_cells, j_funcs)
-        odd_u = (flat @ self._odd_pattern).reshape(u.shape)
-        diag = (-0.5 * hdot / h)[:, None] * self._diag_weights[None, :] - 1.0
-        du = diag[None, :, :] * u
-        odd_u *= (self._odd_speed / h[None, :])[:, :, None]
-        du += odd_u
+        # volume terms (G + mu L) u from the shared patterns, with the
+        # collision loss -u folded into the diagonal, worked moment-major
+        du = np.empty((j_funcs, n, k_cells))
+        np.multiply(diag[:, None, :], u.transpose(2, 0, 1), out=du)
+        # one work buffer serves every product below
+        work = self._odd_pattern @ flat.T
+        part = work.reshape(du.shape)
+        part *= odd_fac
+        du += part
         if self._moving:
-            even_u = (flat @ self._even_pattern).reshape(u.shape)
-            even_u *= (hdot / h)[None, :, None]
-            du -= even_u
+            np.matmul(self._even_pattern, flat.T, out=work)
+            part *= even_fac
+            du -= part
 
-        trace_right = (u @ self._sq) * inv_sqrt_h[None, :]
-        trace_left = (u @ self._alt) * inv_sqrt_h[None, :]
+        # upwinded traces: from_left[:, e] is the trace just left of edge e
+        # and from_right[:, e] the one just right of it
+        from_left = np.empty((n, k_cells + 1))
+        from_right = np.empty((n, k_cells + 1))
+        np.multiply((flat @ self._sq).reshape(n, k_cells), inv_sqrt_h,
+                    out=from_left[:, 1:])
+        np.multiply((flat @ self._alt).reshape(n, k_cells), inv_sqrt_h,
+                    out=from_right[:, :-1])
         bc_left, bc_right = self.boundary_values(t)
         if self._reflect_left:
             # mirror boundary at the origin: inflow at +mu is the outgoing
             # trace of -mu (directions are symmetric, so reversed order)
-            bc_left = trace_left[::-1, 0]
-        from_left = np.concatenate([bc_left[:, None], trace_right], axis=1)
-        from_right = np.concatenate([trace_left, bc_right[:, None]], axis=1)
-        flux = self._rel * np.where(self._upwind_left, from_left, from_right)
-        # per-cell scaled traces fold the 1/sqrt(h) into (K, J) factors
-        du -= flux[:, 1:, None] * (self._sq[None, :] * inv_sqrt_h[:, None])[None, :, :]
-        du += flux[:, :-1, None] * (self._alt[None, :] * inv_sqrt_h[:, None])[None, :, :]
+            bc_left = from_right[::-1, 0]
+        from_left[:, 0] = bc_left
+        from_right[:, -1] = bc_right
+        flux = np.where(self._upwind_left, from_left, from_right)
+        flux *= self._rel
+        np.multiply(flux[None, :, 1:], right[:, None, :], out=part)
+        du -= part
+        np.multiply(flux[None, :, :-1], left[:, None, :], out=part)
+        du += part
 
-        # isotropic scattering gain plus external source, added in one pass;
-        # the source comes from the step attempt's batch when t is one of
-        # its stage times, else from a batch of one
-        gain = np.tensordot(self.weights, u, axes=(0, 0))
+        # isotropic scattering gain plus external source, added in the pass
+        # that writes the (N, K, J) result
+        gain = np.dot(self.weights, u.reshape(n, -1)).reshape(k_cells, j_funcs)
         gain *= 0.5 * self.spec.c
-        src = self._prepared.get(t)
-        if src is None:
-            src = self.source_moments(np.array([t]))[0]
+        out = np.empty(u.shape)
         if src.ndim == 2:
             gain += src
-            du += gain[None, :, :]
+            np.add(du, gain.T[:, None, :], out=out.transpose(2, 0, 1))
         else:
-            du += gain[None, :, :]
-            du += src
-        return du
+            du += gain.T[:, None, :]
+            np.add(du, src.transpose(2, 0, 1), out=out.transpose(2, 0, 1))
+        return out
 
     def rhs_flat(self, t: float, y: np.ndarray) -> np.ndarray:
         cfg = self.config

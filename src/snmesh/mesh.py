@@ -68,7 +68,7 @@ def edge_table(mesh: Mesh, times):
     times = np.asarray(times, dtype=float)
     edges = mesh.initial_edges + mesh.velocities * times[..., None]
     widths = edges[..., 1:] - edges[..., :-1]
-    if np.any(widths <= 0.0):
+    if (widths <= 0.0).any():
         raise ValueError(f"mesh law {mesh.law!r} has degenerate cells at t={times}")
     return edges, widths
 

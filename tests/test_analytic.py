@@ -227,6 +227,24 @@ class TestTimeArrays:
         np.testing.assert_array_equal(got, want)
 
 
+    def test_square_source_batch_equals_per_node_calls(self):
+        # Ei(-t) runs once per run of equal times in a batch; each node
+        # alone must give the same bits.  Runs at t <= 0, around t = x0 and
+        # past the cut-off, and a time that comes back after another run
+        times = np.array([-0.2, 0.0, 0.3, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.8,
+                          0.3, 1.2, 1.7])
+        x = np.linspace(-2.1, 2.1, 15)
+        node_t = np.repeat(times, x.size)
+        node_x = np.tile(x, times.size)
+        got = an.phi_u_square_source(node_x, node_t, X0, 1.0)
+        want = np.array([an.phi_u_square_source(xv, tv, X0, 1.0)
+                         for xv, tv in zip(node_x, node_t)])
+        np.testing.assert_array_equal(got, want)
+        # interleaved times: every node is a run of its own
+        perm = np.random.default_rng(2).permutation(node_t.size)
+        np.testing.assert_array_equal(
+            an.phi_u_square_source(node_x[perm], node_t[perm], X0, 1.0), want[perm])
+
 def ei_reference(y):
     """Ei(y) for y < 0 via the power series (small |y|) or the continued
     fraction for E1 evaluated with the modified Lentz scheme (large |y|)."""

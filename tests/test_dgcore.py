@@ -5,7 +5,8 @@ rhs_coeffs: once against per-cell matrices built by snmesh.basis, and once
 against exact characteristic solutions (free streaming decouples the
 directions, so each discrete ordinate must advect its own profile).  The
 source moments, evaluated for all stage times of a step attempt at once,
-are checked bit for bit against a one-time-at-a-time projection kept here.
+are checked bit for bit against a one-time-at-a-time projection kept here,
+and the moment-major RHS against the (N, K, J) assembly it replaced.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from snmesh.dgcore import (
     build_mesh,
     start_time,
 )
-from snmesh.integrate import _C
+from snmesh.integrate import _C, IntegrationError
 
 
 def make_config(kind="gaussian-pulse", c=1.0, mesh="static", mode="standard",
@@ -396,6 +397,125 @@ class TestBatchedSourceMoments:
         system = TransportSystem(cfg)
         system.solve()
         assert system._prepared == {}
+
+
+def parent_rhs(system, t, u):
+    """rhs_coeffs as it was before it worked moment-major: (N, K, J) layout
+    throughout, the mesh state and the source computed at t.  The new RHS
+    must equal it bit for bit."""
+    ms = system.mesh_at(t)
+    h = ms.widths
+    inv_sqrt_h = 1.0 / np.sqrt(h)
+    n, k_cells, j_funcs = u.shape
+    j = np.arange(j_funcs)
+    coupled = np.sqrt(np.outer(2.0 * j + 1.0, 2.0 * j + 1.0))
+    lower = j[:, None] > j[None, :]
+    parity = (j[:, None] + j[None, :]) % 2
+    odd_pattern = np.where(lower & (parity == 1), coupled, 0.0).T.copy()
+    even_pattern = np.where(
+        (j[:, None] >= j[None, :] + 2) & (parity == 0), coupled, 0.0).T.copy()
+    vel = ms.velocities
+    hdot = vel[1:] - vel[:-1]
+    odd_speed = 2.0 * system.mu[:, None] - (vel[:-1] + vel[1:])[None, :]
+    rel = system.mu[:, None] - vel[None, :]
+    sq = np.sqrt(2.0 * j + 1.0)
+    alt = np.where(j % 2 == 0, sq, -sq)
+
+    flat = u.reshape(n * k_cells, j_funcs)
+    odd_u = (flat @ odd_pattern).reshape(u.shape)
+    diag = (-0.5 * hdot / h)[:, None] * (2.0 * j + 1.0)[None, :] - 1.0
+    du = diag[None, :, :] * u
+    odd_u *= (odd_speed / h[None, :])[:, :, None]
+    du += odd_u
+    if hdot.any():
+        even_u = (flat @ even_pattern).reshape(u.shape)
+        even_u *= (hdot / h)[None, :, None]
+        du -= even_u
+
+    trace_right = (u @ sq) * inv_sqrt_h[None, :]
+    trace_left = (u @ alt) * inv_sqrt_h[None, :]
+    bc_left, bc_right = system.boundary_values(t)
+    if system.config.half_domain:
+        bc_left = trace_left[::-1, 0]
+    from_left = np.concatenate([bc_left[:, None], trace_right], axis=1)
+    from_right = np.concatenate([trace_left, bc_right[:, None]], axis=1)
+    flux = rel * np.where(rel > 0.0, from_left, from_right)
+    du -= flux[:, 1:, None] * (sq[None, :] * inv_sqrt_h[:, None])[None, :, :]
+    du += flux[:, :-1, None] * (alt[None, :] * inv_sqrt_h[:, None])[None, :, :]
+
+    gain = np.tensordot(system.weights, u, axes=(0, 0))
+    gain *= 0.5 * system.spec.c
+    src = system.source_moments(np.array([t]))[0]
+    if src.ndim == 2:
+        gain += src
+        du += gain[None, :, :]
+    else:
+        du += gain[None, :, :]
+        du += src
+    return du
+
+
+class TestMomentMajorRhs:
+    """rhs_coeffs works moment-major with per-attempt mesh factors, and
+    gives the bits of the (N, K, J) assembly it replaced at prepared and
+    unprepared times alike."""
+
+    ATTEMPT = (0.45, 0.1)  # straddles t = x0 = 0.5
+
+    def check(self, system, seed=0):
+        cfg = system.config
+        shape = (cfg.n_angles, cfg.n_cells, cfg.order + 1)
+        u = np.random.default_rng(seed).standard_normal(shape)
+        t, h = self.ATTEMPT
+        times = t + _C[1:] * h
+        for tt in (times[0], 0.7):
+            got = system.rhs_coeffs(tt, u)
+            assert got.shape == shape and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, parent_rhs(system, tt, u))
+        system._prepare_sources(times)
+        for tt in times:
+            got = system.rhs_coeffs(tt, u)
+            assert got.shape == shape and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, parent_rhs(system, tt, u))
+        # the flat view the stepper sees is the same array
+        np.testing.assert_array_equal(system.rhs_flat(times[3], u.ravel()),
+                                      parent_rhs(system, times[3], u).ravel())
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 10])
+    @pytest.mark.parametrize("kind,mode,mesh", _feasible_variants())
+    def test_equals_parent_assembly(self, kind, mode, mesh, order):
+        cfg = make_config(kind=kind, c=0.8 if kind != "mms" else 1.0, mode=mode,
+                          mesh=mesh, K=8, M=order, N=6, x0=0.5, t0=1.0, t_final=2.0)
+        self.check(TransportSystem(cfg), seed=order)
+
+    def test_half_domain_mirror(self):
+        cfg = make_config(kind="plane-pulse", c=0.85, mesh="moving", mode="uncollided",
+                          K=4, M=5, N=8, half_domain=True)
+        self.check(TransportSystem(cfg))
+
+    @pytest.mark.parametrize("mesh", ["static", "moving"])
+    def test_boundary_override(self, mesh):
+        cfg = make_config(kind="gaussian-pulse", c=0.7, mesh=mesh, K=6, M=4, N=8)
+        system = TransportSystem(cfg)
+        rng = np.random.default_rng(5)
+        left, right = rng.standard_normal(8), rng.standard_normal(8)
+        system._boundary_override = lambda t: (left * (1.0 + t), right * t)
+        self.check(system)
+
+    def test_no_attempt_cache_outlives_a_failed_advance(self):
+        # a NaN inflow makes every attempt's error norm NaN, so the stepper
+        # raises after it has prepared an attempt
+        cfg = make_config(kind="square-source", mode="uncollided", mesh="moving",
+                          K=8, M=2, N=4, x0=0.5, t0=1.0)
+        system = TransportSystem(cfg)
+        nan = np.full(4, np.nan)
+        system._boundary_override = lambda t: (nan, nan)
+        calls = []
+        prepare = system._prepare_sources
+        system._prepare_sources = lambda times: (calls.append(times), prepare(times))
+        with pytest.raises(IntegrationError):
+            system.advance(system.project_initial_condition(), 1.0)
+        assert calls and system._prepared == {}
 
 
 class TestManufacturedResidual:
