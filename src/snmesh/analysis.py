@@ -135,11 +135,6 @@ def fit_spectral(orders, rmses, gate=0.0) -> FitResult:
     return FitResult(-slope, intercept, int(mask.sum()), tuple(used), residual, spans)
 
 
-def intercept_improvement(baseline: FitResult, candidate: FitResult) -> float:
-    """How much smaller the candidate's fitted error constant is."""
-    return baseline.intercept / candidate.intercept
-
-
 # ---------------------------------------------------------------------------
 # Reference solutions.
 

@@ -2,7 +2,9 @@
 and the scattering-ratio scaling transform.
 
 All spatial profiles are even in x and use mean-free-path units (unit total
-cross section, unit wave speed).  Support indicators are closed: a point on a
+cross section, unit wave speed).  The scalar fluxes and sources see x only
+through |x| or x * x, so they are even bit for bit: a projection on a
+mirror-symmetric mesh evaluates them on the nodes x >= 0 alone.  Support indicators are closed: a point on a
 wavefront gets the limit from inside, which keeps grid comparisons against
 reconstructed cell traces well defined.
 
@@ -61,11 +63,6 @@ class SourceSpec:
             raise ValueError("plane-pulse x0 must be >= 0")
         if self.kind == "mms" and self.c != 1.0:
             raise ValueError("the manufactured problem is defined for c = 1")
-
-
-def exp_integral_Ei(y):
-    """Exponential integral Ei(y), the principal-value antiderivative of e^u/u."""
-    return expi(y)
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +130,24 @@ def phi_u_square_source(x, t, x0, t0):
 
     Zero for t <= 0: there the emission window d below is empty.
     """
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ax = np.abs(x)
+    ax, t = np.broadcast_arrays(np.abs(np.asarray(x, dtype=float)),
+                                np.asarray(t, dtype=float))
     d = np.maximum(np.minimum(np.minimum(t0, t), t - ax + x0), 0.0)
     b = np.maximum(np.minimum(d, t - ax - x0), 0.0)
     cc = np.maximum(np.minimum(d, t + ax - x0), 0.0)
-    ei_b = expi(b - t)
     ei_0 = _per_run(lambda s: expi(-s), t)
+    # Where b or cc is 0, the Ei argument is exactly -t: Ei runs only on
+    # the other points.
+    ei_b = np.array(ei_0)
+    inner = b > 0.0
+    ei_b[inner] = expi(b[inner] - t[inner])
     arg_c = cc - t
     # arg_c only reaches 0 at |x| = x0, where its prefactor vanishes; patch
     # the Ei singularity so 0 * (-inf) does not produce a NaN.
     neg = arg_c < 0.0
-    ei_c = np.where(neg, expi(np.where(neg, arg_c, -1.0)), 0.0)
+    ei_c = np.where(neg, ei_0, 0.0)
+    inner = neg & (cc > 0.0)
+    ei_c[inner] = expi(arg_c[inner])
     with np.errstate(invalid="ignore"):
         # t <= 0 gives Ei(0) = -inf in the unused terms
         term_inner = -x0 * (ei_b - ei_0)
@@ -169,22 +171,36 @@ def phi_u_gaussian_source(x, t, sigma, t0, tol=1e-12):
     back: the mirror-symmetric projection points of a symmetric mesh cost
     half the erf evaluations.
 
-    An array t runs one integral per distinct time, over the points at that
-    time: the panels stop on the largest error over all points of one
-    integral, so the points of one time are integrated together, as in a
-    call at that time alone.
+    The points are grouped by one lexsort into their distinct (time, |x|)
+    pairs, and one integral runs per distinct time t > 0 over that time's
+    distinct |x|, in ascending order: the panels stop on the largest error
+    over all points of one integral, so the points of one time are
+    integrated together, as in a call at that time alone.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.ndim(t):
-        arr, times = np.broadcast_arrays(arr, np.asarray(t, dtype=float))
-        out = np.empty(arr.shape)
-        for tv in np.unique(times):
-            at = times == tv
-            out[at] = phi_u_gaussian_source(arr[at], tv, sigma, t0, tol)
-        return out
-    if t <= 0:
-        return np.zeros_like(arr)
-    ax, where = np.unique(np.abs(arr).ravel(), return_inverse=True)
+    arr, times = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    )
+    ax, times = np.abs(arr).ravel(), times.ravel()
+    perm = np.lexsort((ax, times))
+    ax, times = ax[perm], times[perm]
+    first = np.ones(ax.size, dtype=bool)
+    first[1:] = (ax[1:] != ax[:-1]) | (times[1:] != times[:-1])
+    ax, times = ax[first], times[first]
+    values = np.zeros(ax.size)
+    breaks = np.flatnonzero(times[1:] != times[:-1]) + 1
+    for lo, hi in zip([0, *breaks], [*breaks, ax.size]):
+        if hi > lo and times[lo] > 0:
+            values[lo:hi] = _gaussian_source_integral(
+                ax[lo:hi], times[lo], sigma, t0, tol
+            )
+    out = np.empty(arr.size)
+    out[perm] = values[np.cumsum(first) - 1]
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+
+
+def _gaussian_source_integral(ax, t, sigma, t0, tol):
+    """The emission-time integral at one time t > 0 for the distinct
+    |x| in ``ax``."""
     limit = np.exp(-(ax * ax) / (sigma * sigma))
 
     def kernel(tau):
@@ -194,8 +210,7 @@ def phi_u_gaussian_source(x, t, sigma, t0, tol=1e-12):
             spread = _gaussian_pulse_spread(ax, s, sigma)
         return np.where(small, limit, spread)
 
-    out = _adaptive_panels(kernel, 0.0, min(t, t0), tol, ax.shape)[where]
-    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+    return _adaptive_panels(kernel, 0.0, min(t, t0), tol, ax.shape)
 
 
 _GL_LO = 10
@@ -219,8 +234,8 @@ def _adaptive_panels(kernel, a, b, tol, shape, max_depth=48):
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
         values = kernel(mid + half * nodes)
-        coarse = half * np.tensordot(lo.weights, values[:_GL_LO], axes=(0, 0))
-        fine = half * np.tensordot(hi.weights, values[_GL_LO:], axes=(0, 0))
+        coarse = half * np.dot(lo.weights, values[:_GL_LO])
+        fine = half * np.dot(hi.weights, values[_GL_LO:])
         err = np.max(np.abs(fine - coarse))
         scale = max(1.0, np.max(np.abs(fine)))
         if err <= tol * scale or depth >= max_depth:
@@ -378,9 +393,3 @@ def scaled_parameters(spec: SourceSpec, t_final):
         amplitude=amp,
     )
     return scaled, t_final / c
-
-
-def scale_solution(solution, c, x, mu, t):
-    """Transform a c = 1 solution handle into the c != 1 solution:
-    psi_c(x, mu, t) = c * exp(-(1 - c) t) * psi_1(c x, mu, c t)."""
-    return c * np.exp(-(1.0 - c) * t) * solution(c * np.asarray(x, float), mu, c * t)

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import analytic
-from .analytic import SourceSpec
+from .analytic import SOURCE_KINDS, SourceSpec
 from .basis import index_masks, legendre_table
 from .integrate import IntegratorConfig, IntegrationStats, integrate
 from .mesh import (
@@ -48,7 +48,7 @@ from .mesh import (
     static_square_mesh,
     static_uniform_mesh,
 )
-from .projection import cell_moments, projection_points
+from .projection import cell_moments, mirrored_values, projection_points
 from .quadrature import gauss_legendre, gauss_lobatto
 
 SOURCE_MODES = ("standard", "uncollided")
@@ -233,6 +233,14 @@ class TransportSystem:
         vel = self.mesh.velocities
         self._hdot = vel[1:] - vel[:-1]
         self._moving = bool(self._hdot.any())
+        # on an exactly antisymmetric mesh with an edge at 0, even profiles
+        # are evaluated on the nodes x > 0 alone (projection.mirrored_values)
+        edges0 = self.mesh.initial_edges
+        self._mirrored = bool(
+            config.n_cells % 2 == 0
+            and np.array_equal(edges0, -edges0[::-1])
+            and np.array_equal(vel, -vel[::-1])
+        )
         self._odd_speed = 2.0 * self.mu[:, None] - (vel[:-1] + vel[1:])[None, :]
         self._rel = self.mu[:, None] - vel[None, :]
         self._upwind_left = self._rel > 0.0
@@ -240,6 +248,11 @@ class TransportSystem:
         self._static_factors = (
             None if vel.any() else self._mesh_factors(np.zeros(1))[0]
         )
+        # and one projection of a standard-mode source: constant while it
+        # is on, t <= t0, and zero after
+        self._static_source = None
+        if not (self._uncollided or vel.any()) and self.spec.kind in SOURCE_KINDS:
+            self._static_source = self._volumetric_moments(np.array([self.spec.t0]))[0]
 
     # -- mesh and boundary -------------------------------------------------
 
@@ -260,15 +273,19 @@ class TransportSystem:
 
     # -- projections -------------------------------------------------------
 
-    def project_function(self, times, f, kinks=None):
+    def project_function(self, times, f, kinks=None, even=False):
         """Per-cell moments (T, K, J) of f(x, t) at each of the times; f
         takes the node positions and their times as flat arrays.  ``kinks``
-        maps a time to the |x| where f loses smoothness."""
+        maps a time to the |x| where f loses smoothness.  An ``even`` f,
+        f(-x, t) == f(x, t) bit for bit, sees only the nodes x > 0 on a
+        mirror-symmetric mesh with an edge at 0."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
+        mirror = even and self._mirrored
         x, node_t, wts, bins, z, widths = projection_points(
-            self.mesh, self._proj_rule, times, kinks
+            self.mesh, self._proj_rule, times, kinks, mirror
         )
-        return cell_moments(f(x, node_t), wts, bins, z, widths, self._sq)
+        values = mirrored_values(f, x, node_t) if mirror else f(x, node_t)
+        return cell_moments(values, wts, bins, z, widths, self._sq)
 
     def source_moments(self, times):
         """Projected per-direction source at each of the times: (T, K, J) if
@@ -287,11 +304,14 @@ class TransportSystem:
                 return out
             kinks = lambda t: analytic.kink_radii(spec, t, uncollided=True)
             phi_u = lambda x, t: analytic.uncollided_scalar_flux(spec, x, t)
-            return 0.5 * spec.c * self.project_function(times, phi_u, kinks)
+            # every closed form is even; the Gaussian source's quadrature
+            # already runs once per distinct |x|
+            even = spec.kind != "gaussian-source"
+            return 0.5 * spec.c * self.project_function(times, phi_u, kinks, even)
         if spec.kind == "mms":
             x0 = spec.x0
             even = self.project_function(
-                times, lambda x, t: analytic.mms_source(x, 0.0, t, x0)
+                times, lambda x, t: analytic.mms_source(x, 0.0, t, x0), None, True
             )
             slope = self.project_function(
                 times,
@@ -299,11 +319,19 @@ class TransportSystem:
                 - analytic.mms_source(x, 0.0, t, x0),
             )
             return 0.5 * (even[:, None] + self.mu[None, :, None, None] * slope[:, None])
-        if spec.kind in ("square-source", "gaussian-source"):
-            kinks = lambda t: analytic.kink_radii(spec, t, uncollided=False)
-            src = lambda x, t: analytic.volumetric_source(spec, x, t)
-            return 0.5 * self.project_function(times, src, kinks)
+        if spec.kind in SOURCE_KINDS:
+            if self._static_source is not None:
+                on = (times <= spec.t0)[:, None, None]
+                return np.where(on, self._static_source, 0.0)
+            return self._volumetric_moments(times)
         return np.zeros((times.size, self.config.n_cells, self.config.order + 1))
+
+    def _volumetric_moments(self, times):
+        """Projected standard-mode source, half the volumetric S(x, t)."""
+        spec = self.spec
+        kinks = lambda t: analytic.kink_radii(spec, t, uncollided=False)
+        src = lambda x, t: analytic.volumetric_source(spec, x, t)
+        return 0.5 * self.project_function(times, src, kinks, True)
 
     def _mesh_factors(self, times):
         """Per-time scalings of the RHS, in its moment-major layout: 1/sqrt(h)
@@ -454,7 +482,7 @@ class TransportSystem:
         requested checkpoint times (and at a source cutoff inside the span)."""
         t_end = self.config.t_final
         stops = {float(t) for t in checkpoints if self.t_start < t < t_end}
-        if self.spec.kind in ("square-source", "gaussian-source"):
+        if self.spec.kind in SOURCE_KINDS:
             if self.t_start < self.spec.t0 < t_end:
                 stops.add(float(self.spec.t0))
         wall0 = time.perf_counter()

@@ -201,30 +201,38 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def _rk_step(fun, t, y, f, h, K, prepare=None):
+def _rk_step(fun, t, y, f, h, K, prepare, stage, y_new):
     """One attempt: the 12 stages into K[:12], f(t + h, y_new) into K[12].
 
     The stage times t + C[1:] h go to ``prepare`` first; the last is t + h
-    (C[11] = 1), the time of the closing evaluation as well.
+    (C[11] = 1), the time of the closing evaluation as well.  Each stage
+    state is built in the buffer ``stage``, and the new state in ``y_new``.
     """
     stage_t = t + _C[1:] * h
     if prepare is not None:
         prepare(stage_t)
     K[0] = f
     for s in range(1, _N_STAGES):
-        dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = fun(stage_t[s - 1], y + dy)
-    y_new = y + h * np.dot(K[:-1].T, _B)
+        np.dot(K[:s].T, _A[s, :s], out=stage)
+        stage *= h
+        stage += y
+        K[s] = fun(stage_t[s - 1], stage)
+    np.dot(K[:-1].T, _B, out=y_new)
+    y_new *= h
+    y_new += y
     f_new = fun(stage_t[-1], y_new)
     K[-1] = f_new
     return y_new, f_new
 
 
-def _error_norm(K, h, scale):
+def _error_norm(K, h, scale, err5, err3):
     """Scaled RMS error of the attempt, the fifth-order estimate damped by
-    the third-order one."""
-    err5 = np.dot(K.T, _E5) / scale
-    err3 = np.dot(K.T, _E3) / scale
+    the third-order one; the two estimates are built in ``err5`` and
+    ``err3``."""
+    np.dot(K.T, _E5, out=err5)
+    err5 /= scale
+    np.dot(K.T, _E3, out=err3)
+    err3 /= scale
     err5_norm_2 = np.linalg.norm(err5) ** 2
     err3_norm_2 = np.linalg.norm(err3) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
@@ -248,6 +256,11 @@ def integrate(
     t + C[1:] h; each later call of f in that attempt gets one of those
     floats as its time.  Only the first call, at t0, and the starting-step
     probe run at times no hook has seen.
+
+    The attempts work in arrays allocated once per call, the stage states
+    among them, so f must not keep the y it is given.  Each in-place
+    operation is the one a fresh temporary would get, in the same order,
+    so the bits are those of scipy's stepper.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -283,6 +296,9 @@ def integrate(
     else:
         raise ValueError(f"first_step must lie in (0, {t1 - t0}], got {cfg.first_step}")
     K = np.empty((_N_STAGES + 1, y.size))
+    stage, scale, err5, err3 = np.empty((4, y.size))
+    # y_new alternates between two buffers, never the one holding y
+    y_bufs = (np.empty(y.size), np.empty(y.size))
     accepted = rejected = 0
     while t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -299,9 +315,15 @@ def integrate(
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs = np.abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f_cur, h, K, prepare)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
+            y_new, f_new = _rk_step(
+                fun, t, y, f_cur, h, K, prepare, stage, y_bufs[accepted % 2]
+            )
+            # atol + max(|y|, |y_new|) * rtol; err5 holds |y_new| until
+            # _error_norm overwrites it
+            np.maximum(np.abs(y, out=scale), np.abs(y_new, out=err5), out=scale)
+            scale *= rtol
+            scale += atol
+            error_norm = _error_norm(K, h, scale, err5, err3)
             if not np.isfinite(error_norm):
                 # a NaN or Inf reached the stages: stop with the last good
                 # state instead of shrinking the step until it underflows

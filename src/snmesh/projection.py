@@ -6,6 +6,10 @@ time's cells are split into panels at the kinks of the projected function,
 and the nodes of all panels and times go to one call of that function.
 Each (time, cell) bin sums its nodes in node order, so a batch gives, bit
 for bit, the values of one-time projections.
+
+On a mesh whose edges and edge velocities are exactly antisymmetric, with
+an edge at 0, the panels below 0 mirror those above it exactly, so a
+function even in x needs its values on the nodes x > 0 only.
 """
 
 import numpy as np
@@ -13,14 +17,17 @@ import numpy as np
 from .mesh import edge_table
 
 
-def projection_points(mesh, rule, times, kinks):
+def projection_points(mesh, rule, times, kinks, mirror=False):
     """Nodes of the quadrature rule on panels of every cell at each time,
     with the cells split at the interior kinks ``kinks(t)`` names for that
     time.
 
     Returns flat arrays, time by time, of the node position x, its time,
     weight, (time, cell) bin and reference coordinate z, and the (T, K)
-    cell widths.
+    cell widths.  With ``mirror``, on a mirror-symmetric mesh with an edge
+    at 0, the panels below 0 come first, the times in reverse, then those
+    above 0: x is then the exact negative of its reverse (see
+    mirrored_values).  Each bin keeps its nodes in order either way.
     """
     edges, widths = edge_table(mesh, times)
     n_times, k_cells = widths.shape
@@ -57,6 +64,10 @@ def projection_points(mesh, rule, times, kinks):
     below = np.cumsum(is_edge)[left] - owner * n_edges
     cell = below - 1 + ((mid == b) & is_edge[left + 1])
     cell = np.clip(cell, 0, k_cells - 1) + owner * n_edges
+    if mirror:
+        side = np.where(mid < 0.0, n_times - 1 - owner, n_times + owner)
+        perm = np.argsort(side, kind="stable")
+        owner, mid, half, cell = owner[perm], mid[perm], half[perm], cell[perm]
     # cell edges gathered per panel, not per node
     flat = edges.ravel()
     xl = flat[cell][:, None]
@@ -67,6 +78,15 @@ def projection_points(mesh, rule, times, kinks):
     bins = np.repeat(cell - owner, rule.n)
     node_t = np.repeat(times[owner], rule.n)
     return nodes.ravel(), node_t, wts.ravel(), bins, z.ravel(), widths
+
+
+def mirrored_values(f, x, node_t):
+    """f(x, t) at nodes laid out by projection_points with ``mirror``, for
+    f even in x bit for bit: f runs once, on the upper half of the nodes
+    (x > 0), and the lower half takes their values in reverse."""
+    half = x.size // 2
+    upper = f(x[half:], node_t[half:])
+    return np.concatenate([upper[::-1], upper])
 
 
 def cell_moments(values, wts, bins, z, widths, sq):

@@ -17,13 +17,13 @@ from snmesh.analysis import (
     config_fingerprint,
     fit_algebraic,
     fit_spectral,
-    intercept_improvement,
     reference_solution,
     rmse,
     saturation_mask,
 )
 from snmesh.analytic import SourceSpec
 from snmesh.dgcore import RunConfig
+from snmesh.study import ConvergenceStudy, VariantRecord
 
 
 class TestRmse:
@@ -109,7 +109,12 @@ class TestFits:
     def test_intercept_improvement(self):
         base = fit_algebraic([2, 4, 8], 1.0 * np.array([2., 4., 8.]) ** -3)
         better = fit_algebraic([2, 4, 8], 0.1 * np.array([2., 4., 8.]) ** -3)
-        assert intercept_improvement(base, better) == pytest.approx(10.0, rel=1e-10)
+        records = {v: VariantRecord(v, [], fit, [])
+                   for v, fit in (("standard+static", base), ("uncollided+moving", better))}
+        study = ConvergenceStudy(SourceSpec("gaussian-pulse", sigma=0.5), "cells",
+                                 1.0, 8, np.zeros(1), None, records)
+        assert study.improvement_over_baseline("uncollided+moving") == pytest.approx(
+            10.0, rel=1e-10)
 
 
 class TestFingerprint:

@@ -4,15 +4,19 @@ Every closed form in snmesh.analytic is compared here against a route that
 shares no code with it: scipy.integrate.quad applied to the raw emission
 profile (line integral for pulses, emission-time convolution for sources),
 plus a hand-rolled exponential-integral implementation.  Spot values frozen
-from those oracles pin the functions against silent regressions.
+from those oracles pin the functions against silent regressions.  The
+Gaussian-source and square-source evaluations are also checked bit for bit
+against the code they replaced, kept here as references.
 """
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expi
 
 from snmesh import analytic as an
 from snmesh.analytic import SourceSpec
+from snmesh.quadrature import gauss_legendre
 
 X0 = 0.5
 SIGMA = 0.5
@@ -245,6 +249,132 @@ class TestTimeArrays:
         np.testing.assert_array_equal(
             an.phi_u_square_source(node_x[perm], node_t[perm], X0, 1.0), want[perm])
 
+
+def parent_gaussian_source(x, t, sigma, t0, tol=1e-12):
+    """phi_u_gaussian_source as it was before the batch was grouped by one
+    lexsort: a mask and a np.unique per time, and tensordot panel sums.  The
+    grouped evaluation must equal it bit for bit."""
+    arr = np.asarray(x, dtype=float)
+    if np.ndim(t):
+        arr, times = np.broadcast_arrays(arr, np.asarray(t, dtype=float))
+        out = np.empty(arr.shape)
+        for tv in np.unique(times):
+            at = times == tv
+            out[at] = parent_gaussian_source(arr[at], tv, sigma, t0, tol)
+        return out
+    if t <= 0:
+        return np.zeros_like(arr)
+    ax, where = np.unique(np.abs(arr).ravel(), return_inverse=True)
+    limit = np.exp(-(ax * ax) / (sigma * sigma))
+
+    def kernel(tau):
+        s = (t - tau)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = an._gaussian_pulse_spread(ax, s, sigma)
+        return np.where(s < 1e-12, limit, spread)
+
+    lo, hi = gauss_legendre(an._GL_LO), gauss_legendre(an._GL_HI)
+    nodes = np.concatenate([lo.nodes, hi.nodes])
+    total = np.zeros(ax.shape)
+    stack = [(0.0, min(t, t0), 0)]
+    while stack:
+        left, right, depth = stack.pop()
+        mid = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        values = kernel(mid + half * nodes)
+        coarse = half * np.tensordot(lo.weights, values[:an._GL_LO], axes=(0, 0))
+        fine = half * np.tensordot(hi.weights, values[an._GL_LO:], axes=(0, 0))
+        err = np.max(np.abs(fine - coarse))
+        scale = max(1.0, np.max(np.abs(fine)))
+        if err <= tol * scale or depth >= 48:
+            total = total + fine
+        else:
+            stack.append((left, mid, depth + 1))
+            stack.append((mid, right, depth + 1))
+    out = total[where]
+    return out.reshape(arr.shape) if arr.ndim else float(out[0])
+
+
+def parent_square_source(x, t, x0, t0):
+    """phi_u_square_source as it was before Ei ran only where its argument
+    differs from -t: Ei evaluated on every point."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ax = np.abs(x)
+    d = np.maximum(np.minimum(np.minimum(t0, t), t - ax + x0), 0.0)
+    b = np.maximum(np.minimum(d, t - ax - x0), 0.0)
+    cc = np.maximum(np.minimum(d, t + ax - x0), 0.0)
+    ei_b = expi(b - t)
+    ei_0 = expi(-t)
+    arg_c = cc - t
+    neg = arg_c < 0.0
+    ei_c = np.where(neg, expi(np.where(neg, arg_c, -1.0)), 0.0)
+    with np.errstate(invalid="ignore"):
+        term_inner = -x0 * (ei_b - ei_0)
+        term_mid = 0.5 * ((ax - x0) * (ei_c - ei_b) + np.exp(arg_c) - np.exp(b - t))
+    term_outer = np.exp(d - t) - np.exp(arg_c)
+    return np.where(d > 0.0, term_inner + term_mid + term_outer, 0.0)
+
+
+class TestParentBits:
+    """The grouped Gaussian-source batch and the masked Ei calls of the
+    square source give the bits of the code they replaced."""
+
+    # t = 1e-13 sits under the kernel's small-time cut-off, t0 at the
+    # cut-off, 6.5 and 9 after it, where far points carry values far under
+    # the panels' absolute target
+    TIMES = (1e-13, 0.4, T0, 6.5, 9.0)
+
+    @pytest.mark.parametrize("n_distinct", [1, 3, 7, 121, 240])
+    def test_gaussian_source_equals_parent_loop(self, n_distinct):
+        rng = np.random.default_rng(n_distinct)
+        ax = rng.uniform(0.0, 12.0, n_distinct)
+        ax[0] = 11.5  # a far point in every batch
+        x = np.concatenate([ax, -ax[::2]])  # mirrored and repeated |x|
+        for t in self.TIMES:
+            np.testing.assert_array_equal(an.phi_u_gaussian_source(x, t, SIGMA, T0),
+                                          parent_gaussian_source(x, t, SIGMA, T0))
+        # a flat batch grouped by time, as the projection passes it, and the
+        # same batch shuffled, with t = 0 and t < 0 among the times
+        times = (*self.TIMES, 0.0, -0.5)
+        node_x = np.tile(x, len(times))
+        node_t = np.repeat(times, x.size)
+        want = parent_gaussian_source(node_x, node_t, SIGMA, T0)
+        np.testing.assert_array_equal(an.phi_u_gaussian_source(node_x, node_t, SIGMA, T0),
+                                      want)
+        perm = rng.permutation(node_x.size)
+        np.testing.assert_array_equal(
+            an.phi_u_gaussian_source(node_x[perm], node_t[perm], SIGMA, T0), want[perm])
+
+    def test_gaussian_source_2d_broadcast_equals_parent_loop(self):
+        x = np.linspace(-9.5, 9.5, 39)
+        times = np.array(self.TIMES)[:, None]
+        got = an.phi_u_gaussian_source(x[None, :], times, SIGMA, T0)
+        assert got.shape == (times.size, x.size)
+        np.testing.assert_array_equal(got, parent_gaussian_source(x[None, :], times,
+                                                                  SIGMA, T0))
+
+    def test_square_source_equals_parent_on_a_dense_grid(self):
+        # every branch of the Ei mask: b and cc at 0, inside (0, t) and at
+        # t, around |x| = x0, t = x0, t0 and t0 +- x0, t <= 0
+        t0 = 1.0
+        rng = np.random.default_rng(5)
+        special = np.array([X0, t0, t0 + X0, t0 - X0, 2.0 * X0])
+        times = np.concatenate([[-0.3, 0.0, 1e-300, 1e-13], special,
+                                np.nextafter(special, 0.0), np.nextafter(special, 9.0),
+                                rng.uniform(0.0, 3.0, 60)])
+        x = np.concatenate([[0.0, X0, -X0, np.nextafter(X0, 0.0), np.nextafter(X0, 1.0)],
+                            rng.uniform(-4.0, 4.0, 1500)])
+        got = an.phi_u_square_source(x[None, :], times[:, None], X0, t0)
+        want = parent_square_source(x[None, :], times[:, None], X0, t0)
+        np.testing.assert_array_equal(got, want)
+        assert not np.any(np.signbit(got) != np.signbit(want))
+        for t in times[::7]:
+            np.testing.assert_array_equal(an.phi_u_square_source(x, t, X0, t0),
+                                          parent_square_source(x, t, X0, t0))
+        assert an.phi_u_square_source(0.3, 0.8, X0, t0) == parent_square_source(0.3, 0.8, X0, t0)
+
+
 def ei_reference(y):
     """Ei(y) for y < 0 via the power series (small |y|) or the continued
     fraction for E1 evaluated with the modified Lentz scheme (large |y|)."""
@@ -285,11 +415,11 @@ def ei_reference(y):
 class TestExponentialIntegral:
     @pytest.mark.parametrize("y", [-0.01, -0.3, -1.0, -2.5, -5.0, -8.0, -15.0, -30.0])
     def test_against_independent_route(self, y):
-        assert an.exp_integral_Ei(y) == pytest.approx(ei_reference(y), rel=1e-12)
+        assert expi(y) == pytest.approx(ei_reference(y), rel=1e-12)
 
     def test_small_argument_log_behavior(self):
         y = -1e-8
-        assert an.exp_integral_Ei(y) == pytest.approx(np.euler_gamma + np.log(abs(y)), rel=1e-7)
+        assert expi(y) == pytest.approx(np.euler_gamma + np.log(abs(y)), rel=1e-7)
 
 
 class TestIntegrals:
@@ -405,6 +535,12 @@ class TestManufactured:
         )
 
 
+def scale_solution(solution, c, x, mu, t):
+    """Transform a c = 1 solution handle into the c != 1 solution:
+    psi_c(x, mu, t) = c * exp(-(1 - c) t) * psi_1(c x, mu, c t)."""
+    return c * np.exp(-(1.0 - c) * t) * solution(c * np.asarray(x, float), mu, c * t)
+
+
 class TestScaling:
     @pytest.mark.parametrize("kind,kw", [
         ("square-pulse", dict(x0=X0)),
@@ -446,7 +582,7 @@ class TestScaling:
 
     def test_scale_solution_applies_transform(self):
         sol = lambda x, mu, t: np.asarray(x) + 10.0 * t
-        got = an.scale_solution(sol, 0.5, 2.0, 0.0, 1.0)
+        got = scale_solution(sol, 0.5, 2.0, 0.0, 1.0)
         assert got == pytest.approx(0.5 * np.exp(-0.5) * (1.0 + 5.0))
 
 

@@ -2,17 +2,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from snmesh.basis import (
+from snmesh.basis import legendre_table
+from snmesh.quadrature import gauss_legendre
+
+from cell_matrices import (
     CellBasis,
     edge_traces,
     eval_basis,
     gradient_matrices,
     gradient_matrix,
-    legendre_table,
     motion_matrices,
     motion_matrix,
 )
-from snmesh.quadrature import gauss_legendre
 
 SQ3 = np.sqrt(3.0)
 SQ15 = np.sqrt(15.0)

@@ -1,12 +1,14 @@
 """Semidiscrete operator and solver checks.
 
 The right-hand side is validated two ways that share no assembly code with
-rhs_coeffs: once against per-cell matrices built by snmesh.basis, and once
+rhs_coeffs: once against per-cell matrices (cell_matrices.py), and once
 against exact characteristic solutions (free streaming decouples the
 directions, so each discrete ordinate must advect its own profile).  The
 source moments, evaluated for all stage times of a step attempt at once,
 are checked bit for bit against a one-time-at-a-time projection kept here,
-and the moment-major RHS against the (N, K, J) assembly it replaced.
+and the moment-major RHS against the (N, K, J) assembly it replaced.  The
+mirrored evaluation of even profiles and the once-per-solve static source
+are checked against the same per-time projection.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from snmesh import analytic as an
 from snmesh.analytic import SourceSpec
-from snmesh.basis import gradient_matrices, legendre_table, motion_matrices
+from snmesh.basis import legendre_table
 from snmesh.dgcore import (
     PLANE_EPS_X0,
     RunConfig,
@@ -26,6 +28,9 @@ from snmesh.dgcore import (
     start_time,
 )
 from snmesh.integrate import _C, IntegrationError
+from snmesh.projection import cell_moments, projection_points
+
+from cell_matrices import gradient_matrices, motion_matrices
 
 
 def make_config(kind="gaussian-pulse", c=1.0, mesh="static", mode="standard",
@@ -516,6 +521,171 @@ class TestMomentMajorRhs:
         with pytest.raises(IntegrationError):
             system.advance(system.project_initial_condition(), 1.0)
         assert calls and system._prepared == {}
+
+
+class TestMirroredSources:
+    """Even profiles on a mirror-symmetric mesh run on the nodes x > 0 and
+    are mirrored onto the rest, and a static mesh projects its standard
+    source once; both give the bits of the full per-time evaluation."""
+
+    ATTEMPTS = [(0.45, 0.1), (0.95, 0.1), (1.45, 0.1)]
+
+    @staticmethod
+    def recorder(monkeypatch, name):
+        """Wrap snmesh.analytic.<name>; returns the list of x it sees."""
+        seen = []
+        real = getattr(an, name)
+
+        def spy(*args):
+            x = args[0] if name == "mms_source" else args[1]
+            seen.append(np.array(x, dtype=float))
+            return real(*args)
+
+        monkeypatch.setattr(an, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("kind,mode,mesh", [
+        ("square-source", "uncollided", "moving"),
+        ("square-source", "uncollided", "static"),
+        ("square-source", "standard", "moving"),
+        ("gaussian-pulse", "uncollided", "moving"),
+        ("square-pulse", "uncollided", "static"),
+        ("plane-pulse", "uncollided", "static"),
+        ("gaussian-source", "standard", "moving"),
+    ])
+    def test_even_profiles_see_only_the_upper_nodes(self, monkeypatch, kind, mode, mesh):
+        cfg = make_config(kind=kind, c=0.8, mode=mode, mesh=mesh, K=8, M=4, N=4,
+                          x0=0.5, t0=1.0, t_final=2.0)
+        system = TransportSystem(cfg)
+        assert system._mirrored
+        name = "uncollided_scalar_flux" if mode == "uncollided" else "volumetric_source"
+        seen = self.recorder(monkeypatch, name)
+        times = 0.45 + _C[1:] * 0.1
+        system.source_moments(times)
+        assert len(seen) == 1 and seen[0].min() > 0.0
+        kinks = lambda t: an.kink_radii(system.spec, t, mode == "uncollided")
+        full = projection_points(system.mesh, system._proj_rule, times, kinks)[0]
+        # K = 8 puts an edge at 0, so exactly half the nodes are used
+        assert seen[0].size == full.size // 2
+
+    def test_gaussian_source_and_mms_slope_see_every_node(self, monkeypatch):
+        times = 0.45 + _C[1:] * 0.1
+        cfg = make_config(kind="gaussian-source", c=0.8, mode="uncollided", mesh="moving",
+                          K=8, M=3, N=4, t0=1.0)
+        seen = self.recorder(monkeypatch, "uncollided_scalar_flux")
+        TransportSystem(cfg).source_moments(times)
+        assert len(seen) == 1 and seen[0].min() < 0.0
+        cfg = make_config(kind="mms", mode="standard", mesh="moving", K=4, M=3, N=4, x0=0.1)
+        system = TransportSystem(cfg)
+        seen = self.recorder(monkeypatch, "mms_source")
+        system.source_moments(times)
+        full = projection_points(system.mesh, system._proj_rule, times, None)[0]
+        # the even part once on the upper half, the odd slope on every node
+        sizes = sorted(x.size for x in seen)
+        assert sizes[0] == full.size // 2 and sizes[-1] == full.size
+        assert min(x.min() for x in seen if x.size == full.size) < 0.0
+
+    def test_half_domain_mesh_evaluates_every_node(self):
+        cfg = make_config(kind="plane-pulse", c=0.85, mesh="moving", mode="uncollided",
+                          K=4, M=5, N=8, half_domain=True)
+        system = TransportSystem(cfg)
+        assert not system._mirrored
+        sizes = []
+        f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
+        times = 0.3 + _C[1:] * 0.05
+        got = system.project_function(times, f, None, True)
+        full = projection_points(system.mesh, system._proj_rule, times, None)[0]
+        assert sizes == [full.size]
+        np.testing.assert_array_equal(got, system.project_function(times, f))
+
+    @pytest.mark.parametrize("K", [4, 8])
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("mesh", ["static", "moving"])
+    def test_mirrored_equals_full_evaluation(self, K, order, mesh):
+        # kinks split cells unevenly, one of them an ulp off an edge
+        cfg = make_config(kind="gaussian-pulse", mesh=mesh, K=K, M=order, N=4)
+        system = TransportSystem(cfg)
+        assert system._mirrored
+        calls = []
+
+        def f(x, t):
+            calls.append(x.size)
+            return np.exp(-x * x) * (1.0 + t) + np.abs(x) * t
+
+        def kinks(t):
+            edge = system.mesh_at(t).edges[K // 2 + 1]
+            return (0.05 + 0.1 * t, 0.9, np.nextafter(edge, 0.0))
+
+        times = 0.3 + _C[1:] * 0.05
+        got = system.project_function(times, f, kinks, True)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(got, system.project_function(times, f, kinks))
+        for tt, row in zip(times, got):
+            np.testing.assert_array_equal(
+                row, _per_time_project(system, system.mesh_at(tt), lambda x: f(x, tt),
+                                       kinks(tt)))
+
+    @pytest.mark.parametrize("kind,mesh", [("gaussian-pulse", "moving"),
+                                           ("square-source", "moving"),
+                                           ("square-source", "static")])
+    def test_mirror_layout(self, kind, mesh):
+        # the mirror layout is the exact negative of its reverse, and moves
+        # no bit of any projection, even or not
+        cfg = make_config(kind=kind, mode="uncollided", mesh=mesh, K=8, M=4, N=4,
+                          x0=0.5, t0=1.0)
+        system = TransportSystem(cfg)
+        kinks = lambda t: an.kink_radii(system.spec, t, True)
+        times = 0.45 + _C[1:] * 0.1
+        x, node_t, *rest = projection_points(system.mesh, system._proj_rule, times,
+                                             kinks, True)
+        np.testing.assert_array_equal(x[::-1], -x)
+        np.testing.assert_array_equal(node_t[::-1], node_t)
+        assert x[x.size // 2:].min() > 0.0
+        plain = projection_points(system.mesh, system._proj_rule, times, kinks)
+        assert sorted(zip(x, node_t)) == sorted(zip(plain[0], plain[1]))
+        odd = lambda x, t: np.exp(x) * (1.0 + t)
+        np.testing.assert_array_equal(
+            cell_moments(odd(x, node_t), *rest, system._sq),
+            cell_moments(odd(plain[0], plain[1]), *plain[2:], system._sq))
+
+    def test_odd_cell_counts_evaluate_every_node(self):
+        # no edge at 0: the middle cell straddles it, and f sees every node
+        cfg = make_config(kind="gaussian-pulse", mode="uncollided", mesh="moving",
+                          K=7, M=4, N=4)
+        system = TransportSystem(cfg)
+        assert not system._mirrored
+        sizes = []
+        f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
+        times = 0.3 + _C[1:] * 0.05
+        system.project_function(times, f, None, True)
+        full = projection_points(system.mesh, system._proj_rule, times, None)[0]
+        assert sizes == [full.size]
+
+    @pytest.mark.parametrize("kind", ["square-source", "gaussian-source"])
+    def test_static_source_cache_equals_per_time_projection(self, monkeypatch, kind):
+        cfg = make_config(kind=kind, mode="standard", mesh="static", K=8, M=4, N=4,
+                          x0=0.5, t0=1.0, t_final=2.0)
+        system = TransportSystem(cfg)
+        assert system._static_source is not None
+        seen = self.recorder(monkeypatch, "volumetric_source")
+        t0 = system.spec.t0
+        edge = np.array([0.0, np.nextafter(t0, 0.0), t0, np.nextafter(t0, 2.0)])
+        for times in [t + _C[1:] * h for t, h in self.ATTEMPTS] + [edge]:
+            got = system.source_moments(times)
+            assert not seen  # served from the cache
+            monkeypatch.undo()
+            want = np.stack([per_time_source(system, tt) for tt in times])
+            seen = self.recorder(monkeypatch, "volumetric_source")
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert np.all(got[times > t0] == 0.0)
+            assert all(np.any(row != 0.0) for row in got[times <= t0])
+
+    def test_moving_and_uncollided_sources_are_not_cached(self):
+        for mode, mesh in (("standard", "moving"), ("uncollided", "static")):
+            cfg = make_config(kind="square-source", mode=mode, mesh=mesh, K=8, M=2, N=4,
+                              x0=0.5, t0=1.0)
+            assert TransportSystem(cfg)._static_source is None
 
 
 class TestManufacturedResidual:

@@ -191,6 +191,20 @@ def test_bitwise_equal_to_scipy_dop853(monkeypatch, name):
         assert stats.steps_rejected >= 1
 
 
+def test_stage_buffers_leave_the_caller_arrays_alone():
+    # the attempts build stages and new states in buffers of their own call:
+    # y0 keeps its values, and results of separate calls share no memory
+    rhs = lambda t, y: np.array([y[1], -y[0]])
+    y0 = np.array([1.0, 0.5])
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
+    y_a, stats = integrate(rhs, y0, 0.0, 3.0, cfg)
+    y_b, _ = integrate(rhs, y0, 0.0, 3.0, cfg)
+    np.testing.assert_array_equal(y0, [1.0, 0.5])
+    assert stats.steps_accepted > 2
+    assert not np.shares_memory(y_a, y0) and not np.shares_memory(y_a, y_b)
+    np.testing.assert_array_equal(y_a, y_b)
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate drags in sparse, linalg, optimize and more, whose
     # import time and memory every process would pay and no solve uses
