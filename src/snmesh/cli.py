@@ -141,6 +141,17 @@ def _fit_payload(fit):
     }
 
 
+def _point_payload(point):
+    return {
+        "value": point.value,
+        "rmse": point.rmse,
+        "wall_seconds": point.wall_seconds,
+        "steps_accepted": point.steps_accepted,
+        "steps_rejected": point.steps_rejected,
+        "rhs_evaluations": point.n_rhs,
+    }
+
+
 def _gate_payload(ref):
     return {
         "gate": ref.gate,
@@ -248,6 +259,7 @@ def cmd_converge(args):
             "improvement_over_baseline": study.improvement_over_baseline(
                 variant
             ),
+            "points": [_point_payload(point) for point in record.points],
         }
     manifest = write_manifest(out_dir / "manifest.json", {
         "artifact": "snmesh",

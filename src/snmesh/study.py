@@ -35,14 +35,15 @@ def split_variant(variant: str):
 
 
 def variant_feasible(spec: SourceSpec, variant: str, n_cells: int) -> bool:
-    """Whether a (variant, resolution) combination has a defined scheme."""
+    """Whether a (variant, resolution) combination has a defined scheme:
+    ``RunConfig``'s own validation decides, at any valid angle count and
+    order."""
     source_mode, mesh_mode = split_variant(variant)
-    if spec.kind == "mms":
-        return variant == "standard+moving"
-    if spec.kind == "plane-pulse" and variant == "standard+moving":
+    try:
+        RunConfig(spec=spec, n_angles=2, order=0, n_cells=n_cells,
+                  mesh_mode=mesh_mode, source_mode=source_mode)
+    except ValueError:
         return False
-    if spec.kind in ("square-pulse", "square-source") and mesh_mode == "moving":
-        return n_cells >= 4 and n_cells % 4 == 0
     return True
 
 
@@ -55,6 +56,7 @@ class SweepPoint:
     wall_seconds: float
     steps_accepted: int
     steps_rejected: int
+    n_rhs: int
 
 
 @dataclass
@@ -95,6 +97,7 @@ def _solve_config(config: RunConfig, grid, phi_ref):
         wall_seconds=result.wall_seconds,
         steps_accepted=result.stats.steps_accepted,
         steps_rejected=result.stats.steps_rejected,
+        n_rhs=result.stats.n_rhs,
     )
 
 

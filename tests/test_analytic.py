@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expi
 
-from snmesh import analytic as an
+from snmesh import _special, analytic as an
 from snmesh.analytic import SourceSpec
 from snmesh.quadrature import gauss_legendre
 
@@ -420,6 +420,36 @@ class TestExponentialIntegral:
     def test_small_argument_log_behavior(self):
         y = -1e-8
         assert expi(y) == pytest.approx(np.euler_gamma + np.log(abs(y)), rel=1e-7)
+
+
+class TestSpecialFunctions:
+    """snmesh's erf and Ei are scipy.special's compiled ufuncs, bit for bit,
+    whether loaded from the extension file or, where that file is missing,
+    through the package."""
+
+    POINTS = np.concatenate([
+        np.linspace(-40.0, 40.0, 800_001),  # erf saturates at |x| >= 6
+        -np.geomspace(1e-300, 1e300, 6_001),  # Ei underflows past -745
+        np.geomspace(1e-300, 1e300, 6_001),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -745.0, -746.0, 709.0, 710.0],
+    ])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", ["extension", "fallback"])
+    def test_bits_equal_scipy_special(self, monkeypatch, route):
+        from scipy import special
+
+        if route == "extension":
+            erf, expi = an.erf, an.expi
+        else:
+            monkeypatch.setattr(_special, "_extension_path", lambda: None)
+            erf, expi = _special._load()
+        # the extension route must not hand back the package's own objects
+        assert (erf is special.erf) == (route == "fallback")
+        for ours, scipys in ((erf, special.erf), (expi, special.expi)):
+            np.testing.assert_array_equal(ours(self.POINTS).view(np.int64),
+                                          scipys(self.POINTS).view(np.int64))
+        assert np.signbit(erf(-0.0)) and expi(0.0) == -np.inf
 
 
 class TestIntegrals:

@@ -166,6 +166,14 @@ class TestConverge:
         assert manifest["reference"]["label"] == "exact"
         assert manifest["variants"]["standard+moving"]["fit"]["rate"] > 0
         assert manifest["variants"]["standard+moving"]["fit"]["spans_factor_four"] is False
+        # each sweep point explains its solve, and matches its CSV row
+        points = manifest["variants"]["standard+moving"]["points"]
+        assert [p["value"] for p in points] == [2, 3, 4]
+        assert ["%.17g" % p["rmse"] for p in points] == [r[3] for r in rows]
+        for p in points:
+            assert p["wall_seconds"] > 0 and p["steps_accepted"] > 0
+            assert p["steps_rejected"] >= 0
+            assert p["rhs_evaluations"] >= 12 * p["steps_accepted"]
 
     def test_gaussian_cells_sweep_uses_cache_env(self, tmp_path, cache_dir):
         rc = main([

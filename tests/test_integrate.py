@@ -206,13 +206,17 @@ def test_stage_buffers_leave_the_caller_arrays_alone():
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate drags in sparse, linalg, optimize and more, whose
-    # import time and memory every process would pay and no solve uses
+    # scipy.integrate drags in sparse, linalg, optimize and more, and
+    # scipy.special's package init the array-API layer, numpy.f2py and
+    # numpy.testing: import time and memory every process would pay and no
+    # solve uses
     src = Path(snmesh.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
+    heavy = ("scipy.integrate", "scipy.sparse", "scipy.special",
+             "scipy._lib._array_api")
     code = (
         "import sys, snmesh.cli\n"
-        "print([m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules])"
+        f"print([m for m in {heavy!r} if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
