@@ -252,7 +252,6 @@ def reference_solution(
     study_max_cells: int,
     study_angles: int,
     cache_dir=None,
-    gate_limit=None,
 ) -> ReferenceSolution:
     """Reference scalar flux on the grid, with its trust gate.
 
@@ -271,7 +270,7 @@ def reference_solution(
     k_ref = _hybrid_safe(max(ORACLE_CELL_FACTOR * study_max_cells, ORACLE_MIN_CELLS))
     k_half = _hybrid_safe(k_ref // 2)
     n_ref = ORACLE_ANGLE_FACTOR * study_angles
-    limit = gate_limit if gate_limit is not None else GATE_LIMITS[spec.kind]
+    limit = GATE_LIMITS[spec.kind]
     # Stepper tolerance keyed to the trust gate: integrating a reference whose
     # spatial floor is 1e-4 at rtol 5e-13 buys nothing but wall time.  Four
     # decades of headroom keeps temporal error invisible in every study.

@@ -379,7 +379,10 @@ def scaled_parameters(spec: SourceSpec, t_final):
     amplitude picks up a factor c so the transform below is exact.
     """
     if spec.kind not in PULSE_KINDS:
-        raise ValueError("the scaling identity only covers pulse problems")
+        raise ValueError(
+            "the scaling identity covers the initial-value pulses only; it "
+            "does not hold with a volumetric or manufactured source"
+        )
     c = spec.c
     if c <= 0:
         raise ValueError("scaling requires c > 0")

@@ -2,9 +2,10 @@
 
 Subcommands: ``solve`` (one run, solution CSV), ``converge`` (resolution
 sweeps over the method variants), ``scalecheck`` (scattering-ratio scaling
-identity), ``bench`` (timed repeats).  Every command writes a JSON manifest
-next to its data files.  Parameter precedence: preset, then config file,
-then command-line flags.
+identity) and ``bench`` (a timed ``converge``: one variant, each point solved
+``--repeats`` times).  ``converge`` and ``bench`` share one sweep, and every
+command writes its CSV and a JSON manifest next to it through one writer.
+Parameter precedence: preset, then config file, then command-line flags.
 """
 
 import argparse
@@ -18,13 +19,7 @@ from . import __version__, analytic
 from .analysis import OracleGateError, analysis_grid
 from .dgcore import TransportSystem
 from .presets import config_from_settings, preset_names, preset_settings
-from .study import (
-    VARIANTS,
-    run_bench,
-    run_convergence,
-    run_scalecheck,
-    split_variant,
-)
+from .study import VARIANTS, run_convergence, run_scalecheck
 
 # Config-file and flag spellings (left) against internal settings keys.
 _KEY_MAP = {
@@ -125,10 +120,6 @@ def _uncollided_column(spec, grid, t):
     return analytic.uncollided_scalar_flux(spec, grid, t)
 
 
-def _settings_echo(settings):
-    return {key: settings[key] for key in sorted(settings)}
-
-
 def _fit_payload(fit):
     if fit is None:
         return None
@@ -152,6 +143,14 @@ def _point_payload(point):
     }
 
 
+def _stats_payload(stats):
+    return {
+        "steps_accepted": stats.steps_accepted,
+        "steps_rejected": stats.steps_rejected,
+        "rhs_evaluations": stats.n_rhs,
+    }
+
+
 def _gate_payload(ref):
     return {
         "gate": ref.gate,
@@ -161,10 +160,42 @@ def _gate_payload(ref):
     }
 
 
-def _prepare_out_dir(args):
+def _write_outputs(args, settings, csv_name, header, rows, **fields):
+    """Write ``csv_name`` and ``manifest.json`` into ``--out-dir``.  The
+    manifest holds the fields every command shares plus the command's own."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    csv_path = write_csv(out_dir / csv_name, header, rows)
+    manifest = write_manifest(out_dir / "manifest.json", {
+        "artifact": "snmesh",
+        "version": __version__,
+        "command": args.command,
+        "config": settings,
+        "outputs": {csv_name.replace(".", "_"): csv_name},
+        **fields,
+    })
+    print("wrote %s and %s" % (csv_path, manifest))
+
+
+def _run_sweep(args, settings, variants, repeats=1):
+    """The study the sweep flags ask for (``--values`` defaults to cells
+    2,4,8,16 or orders 2,4,6,8), and its manifest fields."""
+    if args.values is not None:
+        values = tuple(args.values)
+    else:
+        values = (2, 4, 8, 16) if args.sweep == "cells" else (2, 4, 6, 8)
+    fixed = settings["order"] if args.sweep == "cells" else settings["cells"]
+    study = run_convergence(
+        config_from_settings(settings).spec,
+        sweep=args.sweep,
+        values=values,
+        fixed=fixed,
+        n_angles=settings["angles"],
+        t_final=settings["t_final"],
+        variants=variants,
+        repeats=repeats,
+    )
+    return study, {"sweep": args.sweep, "values": list(values), "fixed": fixed}
 
 
 # ---------------------------------------------------------------------------
@@ -173,68 +204,29 @@ def _prepare_out_dir(args):
 
 def cmd_solve(args):
     settings = gather_settings(args)
-    out_dir = _prepare_out_dir(args)
     config = config_from_settings(settings)
     system = TransportSystem(config)
     result = system.solve()
     grid = analysis_grid(config.spec, config.t_final)
     phi = system.scalar_flux(result.state, grid)
     phi_u = _uncollided_column(config.spec, grid, result.state.t)
-    csv_path = write_csv(
-        out_dir / "solution.csv",
-        ("x", "phi", "phi_u", "phi_collided"),
+    _write_outputs(
+        args, settings, "solution.csv", ("x", "phi", "phi_u", "phi_collided"),
         zip(grid, phi, phi_u, phi - phi_u),
+        variant=config.variant,
+        wall_seconds=result.wall_seconds,
+        integrator=_stats_payload(result.stats),
     )
-    manifest = write_manifest(out_dir / "manifest.json", {
-        "artifact": "snmesh",
-        "version": __version__,
-        "command": "solve",
-        "config": _settings_echo(settings),
-        "variant": config.variant,
-        "wall_seconds": result.wall_seconds,
-        "integrator": {
-            "steps_accepted": result.stats.steps_accepted,
-            "steps_rejected": result.stats.steps_rejected,
-            "rhs_evaluations": result.stats.n_rhs,
-        },
-        "outputs": {"solution_csv": csv_path.name},
-    })
-    print("wrote %s and %s (%d rows, %.3fs solve)" % (
-        csv_path, manifest, grid.size, result.wall_seconds))
+    print("  %d rows, %.3fs solve" % (grid.size, result.wall_seconds))
     return 0
-
-
-def _sweep_values(args, settings):
-    if args.values is not None:
-        return tuple(args.values)
-    if args.sweep == "cells":
-        return (2, 4, 8, 16)
-    return (2, 4, 6, 8)
 
 
 def cmd_converge(args):
     settings = gather_settings(args)
-    out_dir = _prepare_out_dir(args)
-    spec = config_from_settings(settings).spec
-    values = _sweep_values(args, settings)
-    fixed = settings["order"] if args.sweep == "cells" else settings["cells"]
     variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(
-                "unknown variant %r (choose from %s)"
-                % (variant, ", ".join(VARIANTS))
-            )
-    study = run_convergence(
-        spec,
-        sweep=args.sweep,
-        values=values,
-        fixed=fixed,
-        n_angles=settings["angles"],
-        t_final=settings["t_final"],
-        variants=variants,
-    )
+    study, sweep = _run_sweep(args, settings, variants)
     rows = []
+    per_variant = {}
     for variant, record in study.records.items():
         fit = record.fit
         for point in record.points:
@@ -246,34 +238,22 @@ def cmd_converge(args):
                 fit.rate if fit else float("nan"),
                 fit.intercept if fit else float("nan"),
             ))
-    csv_path = write_csv(
-        out_dir / "convergence.csv",
-        ("variant", "sweep", "value", "rmse", "fit_A_or_c1", "fit_C"),
-        rows,
-    )
-    per_variant = {}
-    for variant, record in study.records.items():
         per_variant[variant] = {
-            "fit": _fit_payload(record.fit),
+            "fit": _fit_payload(fit),
             "skipped_values": list(record.skipped),
             "improvement_over_baseline": study.improvement_over_baseline(
                 variant
             ),
             "points": [_point_payload(point) for point in record.points],
         }
-    manifest = write_manifest(out_dir / "manifest.json", {
-        "artifact": "snmesh",
-        "version": __version__,
-        "command": "converge",
-        "config": _settings_echo(settings),
-        "sweep": args.sweep,
-        "values": list(values),
-        "fixed": fixed,
-        "reference": _gate_payload(study.reference),
-        "variants": per_variant,
-        "outputs": {"convergence_csv": csv_path.name},
-    })
-    print("wrote %s and %s" % (csv_path, manifest))
+    _write_outputs(
+        args, settings, "convergence.csv",
+        ("variant", "sweep", "value", "rmse", "fit_A_or_c1", "fit_C"),
+        rows,
+        reference=_gate_payload(study.reference),
+        variants=per_variant,
+        **sweep,
+    )
     for variant, record in study.records.items():
         if record.fit:
             print("  %-20s rate %.3f  intercept %.3e" % (
@@ -283,25 +263,17 @@ def cmd_converge(args):
 
 def cmd_scalecheck(args):
     settings = gather_settings(args)
-    out_dir = _prepare_out_dir(args)
-    spec = config_from_settings(settings).spec
-    if spec.kind in analytic.SOURCE_KINDS:
-        raise ValueError(
-            "scalecheck covers initial-value pulses only; the scaling "
-            "identity does not hold with a volumetric source"
-        )
     variant = args.variant or "uncollided+moving"
-    split_variant(variant)
     report = run_scalecheck(
-        spec,
+        config_from_settings(settings).spec,
         t_benchmark=settings["t_final"],
         order=settings["order"],
         n_cells=settings["cells"],
         n_angles=settings["angles"],
         variant=variant,
     )
-    csv_path = write_csv(
-        out_dir / "scalecheck.csv",
+    _write_outputs(
+        args, settings, "scalecheck.csv",
         ("x", "phi_direct", "phi_scaled", "abs_diff"),
         zip(
             report.grid,
@@ -309,57 +281,30 @@ def cmd_scalecheck(args):
             report.phi_scaled,
             np.abs(report.phi_direct - report.phi_scaled),
         ),
+        variant=variant,
+        t_benchmark=report.t_benchmark,
+        t_scaled=report.t_scaled,
+        max_abs_diff=report.max_abs_diff,
+        integrator={k: _stats_payload(v) for k, v in report.stats.items()},
     )
-    manifest = write_manifest(out_dir / "manifest.json", {
-        "artifact": "snmesh",
-        "version": __version__,
-        "command": "scalecheck",
-        "config": _settings_echo(settings),
-        "variant": variant,
-        "t_benchmark": report.t_benchmark,
-        "t_scaled": report.t_scaled,
-        "max_abs_diff": report.max_abs_diff,
-        "outputs": {"scalecheck_csv": csv_path.name},
-    })
-    print("wrote %s and %s" % (csv_path, manifest))
     print("max abs difference on the analysis grid: %.6e" % report.max_abs_diff)
     return 0
 
 
 def cmd_bench(args):
     settings = gather_settings(args)
-    out_dir = _prepare_out_dir(args)
-    spec = config_from_settings(settings).spec
-    values = _sweep_values(args, settings)
-    fixed = settings["order"] if args.sweep == "cells" else settings["cells"]
     variant = args.variant or "uncollided+moving"
-    split_variant(variant)
-    rows = run_bench(
-        spec,
-        sweep=args.sweep,
-        values=values,
-        fixed=fixed,
-        n_angles=settings["angles"],
-        t_final=settings["t_final"],
+    study, sweep = _run_sweep(args, settings, (variant,), repeats=args.repeats)
+    # the manufactured problem runs standard+moving whatever was asked
+    ((variant, record),) = study.records.items()
+    _write_outputs(
+        args, settings, "timing.csv", ("variant", "M", "K", "mean_seconds", "rmse"),
+        [(variant, p.order, p.n_cells, p.wall_seconds, p.rmse) for p in record.points],
         variant=variant,
         repeats=args.repeats,
+        points=[_point_payload(point) for point in record.points],
+        **sweep,
     )
-    csv_path = write_csv(
-        out_dir / "timing.csv",
-        ("variant", "M", "K", "mean_seconds", "rmse"),
-        [(r.variant, r.order, r.n_cells, r.mean_seconds, r.rmse) for r in rows],
-    )
-    manifest = write_manifest(out_dir / "manifest.json", {
-        "artifact": "snmesh",
-        "version": __version__,
-        "command": "bench",
-        "config": _settings_echo(settings),
-        "sweep": args.sweep,
-        "values": list(values),
-        "repeats": args.repeats,
-        "outputs": {"timing_csv": csv_path.name},
-    })
-    print("wrote %s and %s" % (csv_path, manifest))
     return 0
 
 
@@ -435,12 +380,12 @@ def build_parser():
     p_scale.add_argument("--variant", help="method variant, default uncollided+moving")
     p_scale.set_defaults(func=cmd_scalecheck)
 
-    p_bench = sub.add_parser("bench", help="timed repeats over a sweep")
+    p_bench = sub.add_parser("bench", help="timed converge of one variant")
     _add_parameter_flags(p_bench)
     _add_sweep_flags(p_bench)
     p_bench.add_argument("--variant", help="method variant, default uncollided+moving")
     p_bench.add_argument("--repeats", type=int, default=5,
-                         help="timed runs per configuration")
+                         help="timed runs per sweep point (>= 1)")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -526,9 +526,6 @@ class TransportSystem:
             phi = phi + analytic.uncollided_scalar_flux(self.spec, pts, state.t)
         return phi
 
-    def collided_scalar_flux(self, state: SolutionState, points):
-        return self.scalar_flux(state, points, include_uncollided=False)
-
     def phi_integral(self, state: SolutionState) -> float:
         """integral(phi) dx over the slab, exact per cell via mean moments."""
         ms = self.mesh_at(state.t)

@@ -113,21 +113,21 @@ def static_square_mesh(n_cells: int, x0: float, half_width: float) -> Mesh:
     return Mesh(edges, np.zeros(n_cells + 1), "static")
 
 
-def radial_mesh(n_cells: int, x0: float, speed: float = 1.0) -> Mesh:
+def radial_mesh(n_cells: int, x0: float) -> Mesh:
     """Uniform cells on [-x0, x0] whose edges move radially.
 
-    Edge velocities are speed * x_k(0) / x_K(0), so the outermost edges track
-    +-(x0 + speed * t) and the origin edge is stationary.
+    Edge velocities are x_k(0) / x_K(0), so the outermost edges track
+    +-(x0 + t) and the origin edge is stationary.
     """
     if n_cells < 1:
         raise ValueError("need at least one cell")
     if x0 <= 0:
         raise ValueError("x0 must be positive")
     edges = _symmetrize(np.linspace(-x0, x0, n_cells + 1))
-    return Mesh(edges, speed * edges / x0, "radial")
+    return Mesh(edges, edges / x0, "radial")
 
 
-def radial_half_mesh(n_cells: int, x0: float, speed: float = 1.0) -> Mesh:
+def radial_half_mesh(n_cells: int, x0: float) -> Mesh:
     """Right half of the radial law, [0, x0], for reflection-symmetric runs.
 
     The origin edge is pinned at x = 0 with zero velocity; pair with a
@@ -138,18 +138,18 @@ def radial_half_mesh(n_cells: int, x0: float, speed: float = 1.0) -> Mesh:
     if x0 <= 0:
         raise ValueError("x0 must be positive")
     edges = np.linspace(0.0, x0, n_cells + 1)
-    return Mesh(edges, speed * edges / x0, "radial-half")
+    return Mesh(edges, edges / x0, "radial-half")
 
 
-def hybrid_square_mesh(n_cells: int, x0: float, speed: float = 1.0) -> Mesh:
+def hybrid_square_mesh(n_cells: int, x0: float) -> Mesh:
     """Hybrid mesh for square sources.
 
     Requires K >= 4 with K a multiple of 4 so the cells split into a static
     middle half on [-x0, x0] and two moving quarters.  The moving quarters
     start as zero-width cells piled at +-x0; their edge velocities fan
-    linearly from 0 at the source edge to +-speed at the outermost edge, so
-    for t > 0 every cell has positive width and the outermost edges track the
-    wavefront +-(x0 + speed * t).
+    linearly from 0 at the source edge to +-1 at the outermost edge, so for
+    t > 0 every cell has positive width and the outermost edges track the
+    wavefront +-(x0 + t).
     """
     if n_cells < 4 or n_cells % 4:
         raise ValueError(
@@ -161,7 +161,7 @@ def hybrid_square_mesh(n_cells: int, x0: float, speed: float = 1.0) -> Mesh:
     inner = np.linspace(-x0, x0, 2 * q + 1)
     edges = np.concatenate([np.full(q, -x0), inner, np.full(q, x0)])
     fan = np.arange(q, 0, -1, dtype=float) / q
-    vel = np.concatenate([-speed * fan, np.zeros(2 * q + 1), speed * fan[::-1]])
+    vel = np.concatenate([-fan, np.zeros(2 * q + 1), fan[::-1]])
     return Mesh(_symmetrize(edges), vel, "hybrid-square")
 
 

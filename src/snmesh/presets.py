@@ -81,6 +81,4 @@ def config_from_settings(settings: dict) -> RunConfig:
         mesh_mode=settings["mesh_mode"],
         source_mode=settings["source_mode"],
         t_final=float(settings["t_final"]),
-        rtol=float(settings.get("rtol", 5e-13)),
-        atol=float(settings.get("atol", 1e-12)),
     )

@@ -1,13 +1,17 @@
-"""Sweep drivers: convergence studies, the scaling identity check, and timing
-benchmarks.  These produce plain records that the command line serializes."""
+"""Sweep drivers: convergence studies and the scaling identity check.  These
+produce plain records that the command line serializes.
 
-import time
-from dataclasses import dataclass, field, replace
+``run_convergence`` holds the one sweep loop.  A timing benchmark is the same
+sweep with ``repeats > 1``: each point is solved that many times on fresh
+systems and its ``wall_seconds`` is the mean; the runs are identical bit for
+bit, so the error and step counts come from any one of them.
+"""
+
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from . import analytic
 from .analysis import (
     FitResult,
     ReferenceSolution,
@@ -30,6 +34,12 @@ BASELINE = "standard+static"
 
 
 def split_variant(variant: str):
+    """(source_mode, mesh_mode) of a variant; anything outside ``VARIANTS``
+    raises ``ValueError``."""
+    if variant not in VARIANTS:
+        raise ValueError(
+            "unknown variant %r (choose from %s)" % (variant, ", ".join(VARIANTS))
+        )
     source_mode, mesh_mode = variant.split("+")
     return source_mode, mesh_mode
 
@@ -85,16 +95,18 @@ class ConvergenceStudy:
         return base.fit.intercept / cand.fit.intercept
 
 
-def _solve_config(config: RunConfig, grid, phi_ref):
-    system = TransportSystem(config)
-    result = system.solve()
-    err = rmse(system.scalar_flux(result.state, grid), phi_ref)
+def _solve_point(config: RunConfig, value, grid, phi_ref, repeats):
+    walls = []
+    for _ in range(repeats):
+        system = TransportSystem(config)
+        result = system.solve()
+        walls.append(result.wall_seconds)
     return SweepPoint(
-        value=0,
+        value=value,
         order=config.order,
         n_cells=config.n_cells,
-        rmse=err,
-        wall_seconds=result.wall_seconds,
+        rmse=rmse(system.scalar_flux(result.state, grid), phi_ref),
+        wall_seconds=float(np.mean(walls)),
         steps_accepted=result.stats.steps_accepted,
         steps_rejected=result.stats.steps_rejected,
         n_rhs=result.stats.n_rhs,
@@ -110,23 +122,26 @@ def run_convergence(
     t_final: float,
     variants=VARIANTS,
     cache_dir=None,
-    rtol=5e-13,
-    atol=1e-12,
+    repeats=1,
 ) -> ConvergenceStudy:
     """Resolution sweep (over cells at fixed order, or over order at fixed
-    cells) for each requested method variant against one shared reference."""
+    cells) for each requested method variant against one shared reference;
+    each point is solved ``repeats`` times and timed by the mean.  The
+    manufactured problem runs ``standard+moving`` only."""
     if sweep not in ("cells", "order"):
         raise ValueError("sweep must be 'cells' or 'order'")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    for variant in variants:
+        split_variant(variant)
+    if spec.kind == "mms":
+        variants = ("standard+moving",)
     values = sorted(int(v) for v in values)
     grid = analysis_grid(spec, t_final)
     max_cells = max(values) if sweep == "cells" else fixed
     ref = reference_solution(
         spec, t_final, grid, max_cells, n_angles, cache_dir=cache_dir
     )
-    if spec.kind == "mms":
-        variants = [v for v in variants if v == "standard+moving"] or [
-            "standard+moving"
-        ]
     records = {}
     for variant in variants:
         source_mode, mesh_mode = split_variant(variant)
@@ -145,12 +160,8 @@ def run_convergence(
                 mesh_mode=mesh_mode,
                 source_mode=source_mode,
                 t_final=t_final,
-                rtol=rtol,
-                atol=atol,
             )
-            point = _solve_config(config, grid, ref.phi)
-            point.value = value
-            points.append(point)
+            points.append(_solve_point(config, value, grid, ref.phi, repeats))
         fit = None
         if len(points) >= 2:
             vals = [p.value for p in points]
@@ -178,6 +189,7 @@ class ScaleCheckResult:
     phi_direct: np.ndarray
     phi_scaled: np.ndarray
     max_abs_diff: float
+    stats: dict  # "benchmark" / "direct" -> that solve's IntegrationStats
 
 
 def run_scalecheck(
@@ -187,8 +199,6 @@ def run_scalecheck(
     n_cells: int,
     n_angles: int,
     variant: str = "uncollided+moving",
-    rtol=5e-13,
-    atol=1e-12,
 ) -> ScaleCheckResult:
     """Solve a c != 1 pulse directly and via the scaled c = 1 benchmark.
 
@@ -196,11 +206,9 @@ def run_scalecheck(
     initial amplitude carries a factor c, which makes the two routes agree
     exactly in the continuum limit.
     """
-    if spec.kind not in analytic.PULSE_KINDS:
-        raise ValueError("the scaling identity only covers pulse problems")
     source_mode, mesh_mode = split_variant(variant)
-    benchmark_spec = replace(spec, c=1.0)
     scaled_spec, t_scaled = scaled_parameters(spec, t_benchmark)
+    benchmark_spec = replace(spec, c=1.0)
 
     common = dict(
         n_angles=n_angles,
@@ -208,8 +216,6 @@ def run_scalecheck(
         n_cells=n_cells,
         mesh_mode=mesh_mode,
         source_mode=source_mode,
-        rtol=rtol,
-        atol=atol,
     )
     bench_sys = TransportSystem(
         RunConfig(spec=benchmark_spec, t_final=t_benchmark, **common)
@@ -229,71 +235,6 @@ def run_scalecheck(
     )
     diff = float(np.max(np.abs(phi_direct - phi_scaled)))
     return ScaleCheckResult(
-        spec, t_benchmark, t_scaled, grid, phi_direct, phi_scaled, diff
+        spec, t_benchmark, t_scaled, grid, phi_direct, phi_scaled, diff,
+        {"benchmark": bench.stats, "direct": direct.stats},
     )
-
-
-# ---------------------------------------------------------------------------
-# Timing benchmark.
-
-
-@dataclass
-class BenchRow:
-    variant: str
-    order: int
-    n_cells: int
-    mean_seconds: float
-    rmse: float
-
-
-def run_bench(
-    spec: SourceSpec,
-    sweep: str,
-    values,
-    fixed: int,
-    n_angles: int,
-    t_final: float,
-    variant: str = "uncollided+moving",
-    repeats: int = 5,
-    cache_dir=None,
-    rtol=5e-13,
-    atol=1e-12,
-):
-    """Mean wall time over repeated solves at each resolution, with RMSE."""
-    if sweep not in ("cells", "order"):
-        raise ValueError("sweep must be 'cells' or 'order'")
-    source_mode, mesh_mode = split_variant(variant)
-    values = sorted(int(v) for v in values)
-    grid = analysis_grid(spec, t_final)
-    max_cells = max(values) if sweep == "cells" else fixed
-    ref = reference_solution(
-        spec, t_final, grid, max_cells, n_angles, cache_dir=cache_dir
-    )
-    rows = []
-    for value in values:
-        order = value if sweep == "order" else fixed
-        n_cells = value if sweep == "cells" else fixed
-        if not variant_feasible(spec, variant, n_cells):
-            continue
-        config = RunConfig(
-            spec=spec,
-            n_angles=n_angles,
-            order=order,
-            n_cells=n_cells,
-            mesh_mode=mesh_mode,
-            source_mode=source_mode,
-            t_final=t_final,
-            rtol=rtol,
-            atol=atol,
-        )
-        times = []
-        err = None
-        for _ in range(repeats):
-            system = TransportSystem(config)
-            start = time.perf_counter()
-            result = system.solve()
-            times.append(time.perf_counter() - start)
-            if err is None:
-                err = rmse(system.scalar_flux(result.state, grid), ref.phi)
-        rows.append(BenchRow(variant, order, n_cells, float(np.mean(times)), err))
-    return rows

@@ -168,13 +168,14 @@ class TestOracleCache:
         for f, blob in before.items():
             assert f.read_bytes() == blob
 
-    def test_gate_limit_violation_raises(self, tmp_path):
+    def test_gate_limit_violation_raises(self, tmp_path, monkeypatch):
         grid = analysis_grid(self.SPEC, 0.5)
         reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
                            study_angles=4, cache_dir=tmp_path)
+        monkeypatch.setitem(analysis.GATE_LIMITS, self.SPEC.kind, 1e-18)
         with pytest.raises(OracleGateError):
             reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
-                               study_angles=4, cache_dir=tmp_path, gate_limit=1e-18)
+                               study_angles=4, cache_dir=tmp_path)
 
     def test_mismatched_fingerprint_is_a_miss(self, tmp_path):
         config = RunConfig(spec=self.SPEC, n_angles=2, order=1, n_cells=2,

@@ -225,6 +225,13 @@ class TestScalecheck:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["max_abs_diff"] < 1e-12
         assert manifest["t_scaled"] == 0.5
+        # both solves explain themselves; at c = 1 they are the same solve
+        counts = manifest["integrator"]
+        assert set(counts) == {"benchmark", "direct"}
+        assert counts["benchmark"] == counts["direct"]
+        for solve in counts.values():
+            assert solve["steps_accepted"] > 0 and solve["steps_rejected"] >= 0
+            assert solve["rhs_evaluations"] >= 12 * solve["steps_accepted"]
 
     def test_nontrivial_ratio(self, tmp_path):
         rc = main([
@@ -252,13 +259,21 @@ class TestScalecheck:
         assert rc == 2
 
 
+GAUSSIAN_SWEEP = [
+    "--kind", "gaussian-pulse", "--sigma", "0.5", "--N", "4", "--M", "2",
+    "--t", "0.5", "--sweep", "cells", "--values", "2,4",
+]
+MMS_SWEEP = [
+    "--preset", "mms", "--N", "8", "--K", "4", "--t", "0.5",
+    "--sweep", "order", "--values", "2,3",
+]
+
+
 class TestBench:
     def test_timing_table(self, tmp_path, cache_dir):
         rc = main([
-            "bench", "--kind", "gaussian-pulse", "--sigma", "0.5", "--N", "4",
-            "--M", "2", "--t", "0.5", "--sweep", "cells", "--values", "2,4",
-            "--repeats", "1", "--variant", "uncollided+static",
-            "--out-dir", str(tmp_path),
+            "bench", *GAUSSIAN_SWEEP, "--repeats", "1",
+            "--variant", "uncollided+static", "--out-dir", str(tmp_path),
         ])
         assert rc == 0
         header, rows = read_csv(tmp_path / "timing.csv")
@@ -266,7 +281,56 @@ class TestBench:
         assert [r[2] for r in rows] == ["2", "4"]
         assert all(float(r[3]) > 0 for r in rows)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == "bench"
         assert manifest["repeats"] == 1
+        assert manifest["variant"] == "uncollided+static"
+        assert manifest["outputs"] == {"timing_csv": "timing.csv"}
+        # each sweep point explains its solves, and matches its CSV row
+        points = manifest["points"]
+        assert [p["value"] for p in points] == [2, 4]
+        assert ["%.17g" % p["wall_seconds"] for p in points] == [r[3] for r in rows]
+        assert ["%.17g" % p["rmse"] for p in points] == [r[4] for r in rows]
+        for p in points:
+            assert p["steps_accepted"] > 0 and p["steps_rejected"] >= 0
+            assert p["rhs_evaluations"] >= 12 * p["steps_accepted"]
+
+    def test_same_rmse_as_converge(self, tmp_path, cache_dir):
+        # one sweep loop: bench is a timed converge of one variant
+        assert main([
+            "bench", *GAUSSIAN_SWEEP, "--repeats", "2",
+            "--variant", "uncollided+static", "--out-dir", str(tmp_path / "b"),
+        ]) == 0
+        assert main([
+            "converge", *GAUSSIAN_SWEEP, "--variants", "uncollided+static",
+            "--out-dir", str(tmp_path / "c"),
+        ]) == 0
+        _, bench_rows = read_csv(tmp_path / "b" / "timing.csv")
+        _, conv_rows = read_csv(tmp_path / "c" / "convergence.csv")
+        assert [r[4] for r in bench_rows] == [r[3] for r in conv_rows]
+        assert [r[2] for r in bench_rows] == [r[2] for r in conv_rows]
+
+    def test_mms_runs_standard_moving(self, tmp_path):
+        # as converge does, whatever variant is asked for
+        rc = main(["bench", *MMS_SWEEP, "--repeats", "1", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        _, rows = read_csv(tmp_path / "timing.csv")
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            ("standard+moving", "2", "4"), ("standard+moving", "3", "4")]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["variant"] == "standard+moving"
+
+    def test_unknown_variant_fails(self, tmp_path):
+        rc = main(["bench", *MMS_SWEEP, "--variant", "warp+static",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "timing.csv").exists()
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one_fail(self, tmp_path, repeats):
+        rc = main(["bench", *MMS_SWEEP, "--variant", "standard+moving",
+                   "--repeats", repeats, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert not (tmp_path / "timing.csv").exists()
 
 
 class TestParser:

@@ -226,7 +226,7 @@ class TestPureAbsorberBoundaryLayer:
         for mu, w in zip(system.mu, system.weights):
             if mu > 0:
                 want += w * np.exp(-(pts + 1.0) / mu)
-        got = system.collided_scalar_flux(state, pts)
+        got = system.scalar_flux(state, pts, include_uncollided=False)
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-6)
         # no particles travel leftward
         leftward = eval_direction(system, state, 0, pts)
@@ -877,7 +877,7 @@ class TestObservables:
         res = system.solve()
         pts = np.linspace(-0.8, 0.8, 9)
         total = system.scalar_flux(res.state, pts)
-        collided = system.collided_scalar_flux(res.state, pts)
+        collided = system.scalar_flux(res.state, pts, include_uncollided=False)
         u_part = an.uncollided_scalar_flux(system.spec, pts, res.state.t)
         np.testing.assert_allclose(total, collided + u_part, rtol=1e-13)
 

@@ -1,4 +1,4 @@
-"""Sweep drivers: variant bookkeeping, fits, scaling check, benchmarks."""
+"""Sweep drivers: variant bookkeeping, fits, scaling check, timed sweeps."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,10 @@ import pytest
 from snmesh import study
 from snmesh.analysis import ReferenceSolution
 from snmesh.analytic import SourceSpec
+from snmesh.dgcore import TransportSystem
 from snmesh.study import (
     BASELINE,
     VARIANTS,
-    run_bench,
     run_convergence,
     run_scalecheck,
     split_variant,
@@ -22,6 +22,9 @@ class TestVariantRules:
         assert BASELINE in VARIANTS
         assert len(VARIANTS) == 4
         assert split_variant("uncollided+moving") == ("uncollided", "moving")
+        for bad in ("warp+static", "standard", "standard+moving+x", ""):
+            with pytest.raises(ValueError, match="choose from"):
+                split_variant(bad)
 
     def test_mms_runs_one_variant_only(self):
         spec = SourceSpec("mms", x0=0.1)
@@ -113,6 +116,20 @@ class TestConvergenceDriver:
         with pytest.raises(ValueError):
             run_convergence(spec, "angles", [2, 4], 2, 4, 0.5)
 
+    @pytest.mark.parametrize("kind", ["mms", "gaussian-pulse"])
+    def test_variants_and_repeats_validated_before_any_solve(self, kind, monkeypatch):
+        def no_reference(*a, **kw):
+            raise AssertionError("validation must come first")
+
+        monkeypatch.setattr(study, "reference_solution", no_reference)
+        spec = SourceSpec(kind, x0=0.1, sigma=0.5)
+        with pytest.raises(ValueError, match="unknown variant 'warp\\+static'"):
+            run_convergence(spec, "order", [2], 4, 8, 0.5,
+                            variants=("standard+moving", "warp+static"))
+        for repeats in (0, -1):
+            with pytest.raises(ValueError, match="repeats"):
+                run_convergence(spec, "order", [2], 4, 8, 0.5, repeats=repeats)
+
 
 class TestScaleCheck:
     def test_trivial_at_c_equal_one(self):
@@ -136,24 +153,41 @@ class TestScaleCheck:
 
 
 class TestBench:
+    """A timing benchmark is the convergence sweep with repeats."""
+
     def test_rows_and_timing(self, monkeypatch):
         stub_reference(monkeypatch)
+        systems, walls = [], []
+        solve = TransportSystem.solve
+
+        def recording_solve(self, *a, **kw):
+            result = solve(self, *a, **kw)
+            systems.append(self)
+            walls.append(result.wall_seconds)
+            return result
+
+        monkeypatch.setattr(TransportSystem, "solve", recording_solve)
         spec = SourceSpec("gaussian-pulse", c=1.0, sigma=0.5)
-        rows = run_bench(
-            spec, "cells", [2, 4], fixed=2, n_angles=4, t_final=0.3,
-            variant="uncollided+moving", repeats=2,
+        out = run_convergence(
+            spec, "cells", [4, 2], fixed=2, n_angles=4, t_final=0.3,
+            variants=("uncollided+moving",), repeats=2,
         )
-        assert [r.n_cells for r in rows] == [2, 4]
-        for r in rows:
-            assert r.variant == "uncollided+moving"
-            assert r.mean_seconds > 0 and r.rmse > 0
-            assert r.order == 2
+        points = out.records["uncollided+moving"].points
+        assert [p.n_cells for p in points] == [2, 4]
+        # two solves per point, each on a fresh system
+        assert len({id(s) for s in systems}) == len(walls) == 4
+        for p, pair in zip(points, (walls[:2], walls[2:])):
+            assert p.wall_seconds == np.mean(pair) > 0
+            assert p.rmse > 0
+            assert p.order == 2
 
     def test_infeasible_values_dropped(self, monkeypatch):
         stub_reference(monkeypatch)
         spec = SourceSpec("square-pulse", c=1.0, x0=0.5)
-        rows = run_bench(
+        out = run_convergence(
             spec, "cells", [2, 4], fixed=1, n_angles=2, t_final=0.3,
-            variant="uncollided+moving", repeats=1,
+            variants=("uncollided+moving",), repeats=1,
         )
-        assert [r.n_cells for r in rows] == [4]
+        rec = out.records["uncollided+moving"]
+        assert [p.n_cells for p in rec.points] == [4]
+        assert rec.skipped == [2]
