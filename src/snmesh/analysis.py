@@ -21,6 +21,7 @@ from .analytic import SourceSpec
 from .dgcore import RunConfig, TransportSystem
 
 GRID_POINTS = 201
+_KEEP_AT_LEAST = 3  # sweep points a convergence fit keeps, saturated or not
 
 ORACLE_ORDER = 10
 ORACLE_CELL_FACTOR = 4
@@ -83,24 +84,25 @@ def _fit(xs, log_rmses):
     return slope, float(np.exp(intercept)), residual
 
 
-def saturation_mask(rmses, gate, keep_at_least=3):
+def saturation_mask(rmses, gate):
     """Points still above the reference's trust floor (10x the gate).
 
-    When fewer than `keep_at_least` survive, the leading `keep_at_least`
-    sweep points are kept instead.  Sweeps run coarse to fine, so those are
-    the least saturated; picking by error size would grab points off a
-    saturated tail whenever the tail is not monotone.
+    When fewer than three survive, the leading three sweep points are kept
+    instead.  Sweeps run coarse to fine, so those are the least saturated;
+    picking by error size would grab points off a saturated tail whenever
+    the tail is not monotone.
     """
     rmses = np.asarray(rmses, dtype=float)
     mask = rmses >= 10.0 * gate
-    if mask.sum() < keep_at_least:
+    if mask.sum() < _KEEP_AT_LEAST:
         mask = np.zeros(rmses.size, dtype=bool)
-        mask[: min(keep_at_least, rmses.size)] = True
+        mask[: min(_KEEP_AT_LEAST, rmses.size)] = True
     return mask
 
 
-def fit_algebraic(values, rmses, gate=0.0) -> FitResult:
-    """Fit RMSE = C * value^-A over a resolution sweep (log-log)."""
+def _fit_sweep(values, rmses, gate, spectral) -> FitResult:
+    """Shared body of the two fits over the unsaturated points: ln(RMSE)
+    against the value itself (spectral) or against its log (algebraic)."""
     values = np.asarray(values, dtype=float)
     rmses = np.asarray(rmses, dtype=float)
     if values.size < 2:
@@ -108,11 +110,18 @@ def fit_algebraic(values, rmses, gate=0.0) -> FitResult:
     if np.any(rmses <= 0.0):
         raise ValueError("RMSE values must be positive")
     mask = saturation_mask(rmses, gate)
-    slope, intercept, residual = _fit(np.log(values[mask]), np.log(rmses[mask]))
     used = values[mask]
+    xs = used if spectral else np.log(used)
+    slope, intercept, residual = _fit(xs, np.log(rmses[mask]))
+    far = used.min() + 4.0 if spectral else 4.0 * used.min()
     # plain bool, not numpy's: this flag travels into JSON manifests
-    spans = bool(used.size >= 3 and used.max() >= 4.0 * used.min())
+    spans = bool(used.size >= 3 and used.max() >= far)
     return FitResult(-slope, intercept, int(mask.sum()), tuple(used), residual, spans)
+
+
+def fit_algebraic(values, rmses, gate=0.0) -> FitResult:
+    """Fit RMSE = C * value^-A over a resolution sweep (log-log)."""
+    return _fit_sweep(values, rmses, gate, spectral=False)
 
 
 def fit_spectral(orders, rmses, gate=0.0) -> FitResult:
@@ -122,17 +131,7 @@ def fit_spectral(orders, rmses, gate=0.0) -> FitResult:
     ln(RMSE) against order (a base-10 rate is c1 / ln 10).  It is the value
     the command line writes as ``fit_A_or_c1`` for order sweeps.
     """
-    orders = np.asarray(orders, dtype=float)
-    rmses = np.asarray(rmses, dtype=float)
-    if orders.size < 2:
-        raise ValueError("need at least two points to fit")
-    if np.any(rmses <= 0.0):
-        raise ValueError("RMSE values must be positive")
-    mask = saturation_mask(rmses, gate)
-    slope, intercept, residual = _fit(orders[mask], np.log(rmses[mask]))
-    used = orders[mask]
-    spans = bool(used.size >= 3 and used.max() >= used.min() + 4.0)
-    return FitResult(-slope, intercept, int(mask.sum()), tuple(used), residual, spans)
+    return _fit_sweep(orders, rmses, gate, spectral=True)
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def phi_u_square_source(x, t, x0, t0):
     return np.where(d > 0.0, term_inner + term_mid + term_outer, 0.0)
 
 
-def phi_u_gaussian_source(x, t, sigma, t0, tol=1e-12):
+def phi_u_gaussian_source(x, t, sigma, t0):
     """Uncollided flux of a Gaussian source active for t <= t0.
 
     Time convolution of the Gaussian-pulse kernel over emission times tau,
@@ -191,14 +191,14 @@ def phi_u_gaussian_source(x, t, sigma, t0, tol=1e-12):
     for lo, hi in zip([0, *breaks], [*breaks, ax.size]):
         if hi > lo and times[lo] > 0:
             values[lo:hi] = _gaussian_source_integral(
-                ax[lo:hi], times[lo], sigma, t0, tol
+                ax[lo:hi], times[lo], sigma, t0
             )
     out = np.empty(arr.size)
     out[perm] = values[np.cumsum(first) - 1]
     return out.reshape(arr.shape) if arr.ndim else float(out[0])
 
 
-def _gaussian_source_integral(ax, t, sigma, t0, tol):
+def _gaussian_source_integral(ax, t, sigma, t0):
     """The emission-time integral at one time t > 0 for the distinct
     |x| in ``ax``."""
     limit = np.exp(-(ax * ax) / (sigma * sigma))
@@ -210,14 +210,16 @@ def _gaussian_source_integral(ax, t, sigma, t0, tol):
             spread = _gaussian_pulse_spread(ax, s, sigma)
         return np.where(small, limit, spread)
 
-    return _adaptive_panels(kernel, 0.0, min(t, t0), tol, ax.shape)
+    return _adaptive_panels(kernel, 0.0, min(t, t0), ax.shape)
 
 
 _GL_LO = 10
 _GL_HI = 21
+_PANEL_TOL = 1e-12  # coarse-fine gap, relative to max(1, |integral|)
+_PANEL_MAX_DEPTH = 48
 
 
-def _adaptive_panels(kernel, a, b, tol, shape, max_depth=48):
+def _adaptive_panels(kernel, a, b, shape):
     """Integrate a vector-valued kernel over [a, b] by panel bisection.
 
     ``kernel`` maps a node vector of shape (n,) to values of shape
@@ -238,7 +240,7 @@ def _adaptive_panels(kernel, a, b, tol, shape, max_depth=48):
         fine = half * np.dot(hi.weights, values[_GL_LO:])
         err = np.max(np.abs(fine - coarse))
         scale = max(1.0, np.max(np.abs(fine)))
-        if err <= tol * scale or depth >= max_depth:
+        if err <= _PANEL_TOL * scale or depth >= _PANEL_MAX_DEPTH:
             total = total + fine
         else:
             stack.append((left, mid, depth + 1))

@@ -115,7 +115,7 @@ def gather_settings(args):
 
 
 def _uncollided_column(spec, grid, t):
-    if spec.kind == "mms" or spec.kind not in analytic.KINDS:
+    if spec.kind == "mms":
         return np.zeros_like(grid)
     return analytic.uncollided_scalar_flux(spec, grid, t)
 

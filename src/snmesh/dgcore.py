@@ -35,12 +35,10 @@ import numpy as np
 from . import analytic
 from .analytic import SOURCE_KINDS, SourceSpec
 from .basis import index_masks, legendre_table
-from .integrate import IntegratorConfig, IntegrationStats, integrate
+from .integrate import IntegrationStats, integrate
 from .mesh import (
     Mesh,
-    MeshState,
     edge_table,
-    edges_at,
     hybrid_square_mesh,
     initial_width_for_gaussian,
     radial_half_mesh,
@@ -66,7 +64,6 @@ T_START_EPS = 1e-10
 PLANE_T_START = 1e-5
 
 _SQUARE_KINDS = ("square-pulse", "square-source")
-_GAUSSIAN_KINDS = ("gaussian-pulse", "gaussian-source")
 
 
 @dataclass(frozen=True)
@@ -186,17 +183,12 @@ class SolutionState:
     coeffs: np.ndarray  # (n_angles, n_cells, order + 1)
     t: float
 
-    def copy(self):
-        return SolutionState(self.coeffs.copy(), self.t)
-
 
 @dataclass
 class SolveResult:
-    config: RunConfig
     state: SolutionState
     stats: IntegrationStats
     wall_seconds: float
-    checkpoints: dict
 
 
 class TransportSystem:
@@ -215,7 +207,6 @@ class TransportSystem:
         self._alt = np.where(j % 2 == 0, self._sq, -self._sq)
         self._proj_rule = gauss_legendre(config.order + 7)
         self._uncollided = config.source_mode == "uncollided"
-        self._boundary_override = None
         self._reflect_left = config.half_domain
         # source moments and mesh factors of the current step attempt,
         # keyed by stage time
@@ -256,13 +247,12 @@ class TransportSystem:
 
     # -- mesh and boundary -------------------------------------------------
 
-    def mesh_at(self, t: float) -> MeshState:
-        return edges_at(self.mesh, t)
+    def mesh_at(self, t: float):
+        """Edges (K + 1,) and cell widths (K,) at time t."""
+        return edge_table(self.mesh, t)
 
     def boundary_values(self, t: float):
         """Inflow angular-flux traces just outside the outer edges."""
-        if self._boundary_override is not None:
-            return self._boundary_override(t)
         n = self.config.n_angles
         if self.spec.kind == "mms":
             edge = self.mesh.initial_edges[-1] + self.mesh.velocities[-1] * t
@@ -380,10 +370,10 @@ class TransportSystem:
             # representable, and halving the cells halves the smearing, so the
             # standard treatment converges toward the point pulse rather than
             # toward a fixed smeared problem.
-            ms = self.mesh_at(self.t_start)
-            i = int(np.argmin(np.abs(ms.edges)))
-            i = min(max(i, 1), ms.n_cells - 1)
-            plane_w = float(ms.edges[i + 1] - ms.edges[i])
+            edges, _ = self.mesh_at(self.t_start)
+            i = int(np.argmin(np.abs(edges)))
+            i = min(max(i, 1), cfg.n_cells - 1)
+            plane_w = float(edges[i + 1] - edges[i])
             kinks = (plane_w,)
         coeffs = self.project_function(
             [self.t_start],
@@ -459,43 +449,36 @@ class TransportSystem:
 
     # -- time advancement ----------------------------------------------------
 
-    def _integrator_config(self, at_start: bool) -> IntegratorConfig:
-        first = T_START_EPS if (at_start and self.t_start > 0.0) else None
-        return IntegratorConfig(
-            rtol=self.config.rtol, atol=self.config.atol, first_step=first
-        )
-
     def advance(self, state: SolutionState, t_target: float):
         """Integrate the state to t_target; returns (state, stats)."""
-        cfg = self._integrator_config(at_start=state.t <= self.t_start)
+        at_start = state.t <= self.t_start
+        first = T_START_EPS if (at_start and self.t_start > 0.0) else None
         try:
             y, stats = integrate(
-                self.rhs_flat, state.coeffs.ravel(), state.t, t_target, cfg,
+                self.rhs_flat, state.coeffs.ravel(), state.t, t_target,
+                self.config.rtol, self.config.atol, first,
                 prepare=self._prepare_sources,
             )
         finally:
             self._prepared = {}
         return SolutionState(y.reshape(state.coeffs.shape), t_target), stats
 
-    def solve(self, checkpoints=()) -> SolveResult:
-        """Project the initial state and advance to t_final, stopping at any
-        requested checkpoint times (and at a source cutoff inside the span)."""
+    def solve(self) -> SolveResult:
+        """Project the initial state and advance to t_final, stopping at a
+        source cutoff inside the span."""
         t_end = self.config.t_final
-        stops = {float(t) for t in checkpoints if self.t_start < t < t_end}
+        stops = []
         if self.spec.kind in SOURCE_KINDS:
             if self.t_start < self.spec.t0 < t_end:
-                stops.add(float(self.spec.t0))
+                stops.append(float(self.spec.t0))
         wall0 = time.perf_counter()
         state = self.project_initial_condition()
         stats = IntegrationStats()
-        saved = {}
-        for t_stop in sorted(stops) + [t_end]:
+        for t_stop in stops + [t_end]:
             state, seg = self.advance(state, t_stop)
             stats = stats.merge(seg)
-            if t_stop in checkpoints or t_stop == t_end:
-                saved[t_stop] = state.copy()
         wall = time.perf_counter() - wall0
-        return SolveResult(self.config, state, stats, wall, saved)
+        return SolveResult(state, stats, wall)
 
     # -- observables ---------------------------------------------------------
 
@@ -503,34 +486,33 @@ class TransportSystem:
         """Quadrature-summed scalar-flux moments, shape (K, J)."""
         return np.tensordot(self.weights, state.coeffs, axes=(0, 0))
 
-    def scalar_flux(self, state: SolutionState, points, include_uncollided=None):
-        """Scalar flux at the given points (edge hits read the left cell)."""
-        ms = self.mesh_at(state.t)
+    def scalar_flux(self, state: SolutionState, points):
+        """Scalar flux at the given points (edge hits read the left cell),
+        the analytic uncollided part included in uncollided mode."""
+        edges, widths = self.mesh_at(state.t)
         pts = np.asarray(points, dtype=float)
-        slack = 1e-12 * max(1.0, ms.edges[-1] - ms.edges[0])
-        if np.any(pts < ms.edges[0] - slack) or np.any(pts > ms.edges[-1] + slack):
+        slack = 1e-12 * max(1.0, edges[-1] - edges[0])
+        if np.any(pts < edges[0] - slack) or np.any(pts > edges[-1] + slack):
             raise ValueError("evaluation point outside the mesh")
         cell = np.clip(
-            np.searchsorted(ms.edges, pts, side="left") - 1, 0, ms.n_cells - 1
+            np.searchsorted(edges, pts, side="left") - 1, 0, self.config.n_cells - 1
         )
-        xl = ms.edges[cell]
-        xr = ms.edges[cell + 1]
+        xl = edges[cell]
+        xr = edges[cell + 1]
         z = np.clip((2.0 * pts - xl - xr) / (xr - xl), -1.0, 1.0)
         table = legendre_table(z, self.config.order)
         mom = self.phi_moments(state)
-        scaled = mom * self._sq[None, :] / np.sqrt(ms.widths)[:, None]
+        scaled = mom * self._sq[None, :] / np.sqrt(widths)[:, None]
         phi = np.einsum("pj,jp->p", scaled[cell], table)
-        if include_uncollided is None:
-            include_uncollided = self._uncollided
-        if include_uncollided:
+        if self._uncollided:
             phi = phi + analytic.uncollided_scalar_flux(self.spec, pts, state.t)
         return phi
 
     def phi_integral(self, state: SolutionState) -> float:
         """integral(phi) dx over the slab, exact per cell via mean moments."""
-        ms = self.mesh_at(state.t)
+        _, widths = self.mesh_at(state.t)
         mom0 = self.phi_moments(state)[:, 0]
-        total = float(np.sum(mom0 * np.sqrt(ms.widths)))
+        total = float(np.sum(mom0 * np.sqrt(widths)))
         if self._uncollided:
             total += float(analytic.uncollided_integral(self.spec, state.t))
         return total

@@ -12,9 +12,9 @@ BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
 Developers).  The literals and the order of every floating-point operation
 are kept, so its states, step sequences and RHS counts are bit for bit those
 of ``scipy.integrate.DOP853`` (tests/test_integrate.py compares the two),
-and step counts pinned for scipy's stepper still hold.  Dense output,
-backward integration and vectorized right-hand sides are left out, and
-importing this module does not load ``scipy.integrate``.
+and step counts pinned for scipy's stepper still hold.  Dense output, a
+step-size cap, backward integration and vectorized right-hand sides are
+left out, and importing this module does not load ``scipy.integrate``.
 
 Unlike scipy's stepper, an attempt whose error estimate is NaN or Inf ends
 the run with the last accepted state instead of shrinking the step until
@@ -138,6 +138,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2  # largest cut of the step after a rejection
 _MAX_FACTOR = 10  # largest growth of the step after an acceptance
 _MIN_RTOL = 100 * np.finfo(float).eps
+_MAX_STEPS = 2_000_000  # accepted steps before a run is abandoned
 
 
 class IntegrationError(RuntimeError):
@@ -148,18 +149,6 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
         self.t_last = t_last
         self.y_last = y_last
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances and step limits; an rtol under 100 machine epsilons is
-    raised to that floor with a warning."""
-
-    rtol: float = 5e-13
-    atol: float = 1e-12
-    first_step: Optional[float] = None
-    max_step: float = np.inf
-    max_steps: int = 2_000_000
 
 
 @dataclass
@@ -180,7 +169,7 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """Starting step from the size of y0, f0 and a difference quotient of f
     (Hairer, Norsett & Wanner, II.4)."""
     interval_length = abs(t_bound - t0)
@@ -198,7 +187,7 @@ def _initial_step(fun, t0, y0, t_bound, max_step, f0, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (7 + 1))
-    return min(100 * h0, h1, interval_length, max_step)
+    return min(100 * h0, h1, interval_length)
 
 
 def _rk_step(fun, t, y, f, h, K, prepare, stage, y_new):
@@ -246,10 +235,15 @@ def integrate(
     y0: np.ndarray,
     t0: float,
     t1: float,
-    cfg: IntegratorConfig = None,
+    rtol: float,
+    atol: float,
+    first_step: Optional[float] = None,
     prepare: Optional[Callable] = None,
 ):
     """Advance y' = f(t, y) from t0 to exactly t1; returns (y(t1), stats).
+
+    An rtol under 100 machine epsilons is raised to that floor with a
+    warning; without a ``first_step`` the stepper picks its own.
 
     ``prepare``, if given, is called before every step attempt, accepted or
     rejected, with the array of the attempt's 11 distinct stage times
@@ -262,8 +256,6 @@ def integrate(
     operation is the one a fresh temporary would get, in the same order,
     so the bits are those of scipy's stepper.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
     if t1 < t0:
         raise ValueError(f"cannot integrate backwards: t0={t0} t1={t1}")
     y0 = np.asarray(y0, dtype=float)
@@ -273,9 +265,8 @@ def integrate(
         raise ValueError("y0 must be one-dimensional")
     if not np.isfinite(y0).all():
         raise ValueError("every component of y0 must be finite")
-    if cfg.atol < 0:
+    if atol < 0:
         raise ValueError("atol must be non-negative")
-    rtol, atol, max_step = cfg.rtol, cfg.atol, cfg.max_step
     if rtol < _MIN_RTOL:
         warnings.warn(f"rtol={rtol} is under 100 eps; using {_MIN_RTOL}", stacklevel=2)
         rtol = _MIN_RTOL
@@ -289,12 +280,12 @@ def integrate(
 
     t, y = t0, y0
     f_cur = fun(t, y)
-    if cfg.first_step is None:
-        h_abs = _initial_step(fun, t, y, t1, max_step, f_cur, rtol, atol)
-    elif 0 < cfg.first_step <= t1 - t0:
-        h_abs = cfg.first_step
+    if first_step is None:
+        h_abs = _initial_step(fun, t, y, t1, f_cur, rtol, atol)
+    elif 0 < first_step <= t1 - t0:
+        h_abs = first_step
     else:
-        raise ValueError(f"first_step must lie in (0, {t1 - t0}], got {cfg.first_step}")
+        raise ValueError(f"first_step must lie in (0, {t1 - t0}], got {first_step}")
     K = np.empty((_N_STAGES + 1, y.size))
     stage, scale, err5, err3 = np.empty((4, y.size))
     # y_new alternates between two buffers, never the one holding y
@@ -302,9 +293,7 @@ def integrate(
     accepted = rejected = 0
     while t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         step_rejected = False
         while True:
@@ -353,6 +342,6 @@ def integrate(
             )
         t, y, f_cur = t_new, y_new, f_new
         accepted += 1
-        if accepted > cfg.max_steps:
-            raise IntegrationError(f"exceeded {cfg.max_steps} steps at t={t}", t, y)
+        if accepted > _MAX_STEPS:
+            raise IntegrationError(f"exceeded {_MAX_STEPS} steps at t={t}", t, y)
     return y, IntegrationStats(accepted, rejected, n_rhs)

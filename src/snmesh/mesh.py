@@ -18,25 +18,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class MeshState:
-    """Edge positions, velocities and cell widths at a fixed time."""
-
-    edges: np.ndarray
-    velocities: np.ndarray
-    widths: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        self.edges.setflags(write=False)
-        self.velocities.setflags(write=False)
-        self.widths.setflags(write=False)
-
-    @property
-    def n_cells(self) -> int:
-        return self.edges.size - 1
-
-
-@dataclass(frozen=True)
 class Mesh:
     """A constant-edge-velocity mesh law."""
 
@@ -56,10 +37,6 @@ class Mesh:
         object.__setattr__(self, "initial_edges", e0)
         object.__setattr__(self, "velocities", v)
 
-    @property
-    def n_cells(self) -> int:
-        return self.initial_edges.size - 1
-
 
 def edge_table(mesh: Mesh, times):
     """Edges and cell widths at each of the given times, shapes
@@ -71,13 +48,6 @@ def edge_table(mesh: Mesh, times):
     if (widths <= 0.0).any():
         raise ValueError(f"mesh law {mesh.law!r} has degenerate cells at t={times}")
     return edges, widths
-
-
-def edges_at(mesh: Mesh, t: float) -> MeshState:
-    """Mesh state at time t; cells must have positive width there."""
-    edges, widths = edge_table(mesh, t)
-    # the law's velocities are read-only, so the state can share them
-    return MeshState(edges, mesh.velocities, widths, float(t))
 
 
 def _symmetrize(edges):
@@ -165,10 +135,8 @@ def hybrid_square_mesh(n_cells: int, x0: float) -> Mesh:
     return Mesh(_symmetrize(edges), vel, "hybrid-square")
 
 
-def initial_width_for_gaussian(sigma: float, floor: float = 1e-16) -> float:
-    """Half-width where exp(-x^2 / sigma^2) drops to the requested floor."""
+def initial_width_for_gaussian(sigma: float) -> float:
+    """Half-width where exp(-x^2 / sigma^2) drops to 1e-16."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if not 0 < floor < 1:
-        raise ValueError("floor must be in (0, 1)")
-    return sigma * np.sqrt(-np.log(floor))
+    return sigma * np.sqrt(-np.log(1e-16))

@@ -61,20 +61,18 @@ def preset_settings(name: str) -> dict:
     return settings
 
 
-def spec_from_settings(settings: dict) -> SourceSpec:
-    return SourceSpec(
-        kind=settings["kind"],
-        c=float(settings.get("c", 1.0)),
-        x0=float(settings.get("x0", 0.0)),
-        sigma=float(settings.get("sigma", 0.0)),
-        t0=float(settings.get("t0", 0.0)),
-        amplitude=float(settings.get("amplitude", 1.0)),
-    )
-
-
 def config_from_settings(settings: dict) -> RunConfig:
+    """The run a settings dict with every key filled in describes."""
+    spec = SourceSpec(
+        kind=settings["kind"],
+        c=float(settings["c"]),
+        x0=float(settings["x0"]),
+        sigma=float(settings["sigma"]),
+        t0=float(settings["t0"]),
+        amplitude=float(settings["amplitude"]),
+    )
     return RunConfig(
-        spec=spec_from_settings(settings),
+        spec=spec,
         n_angles=int(settings["angles"]),
         order=int(settings["order"]),
         n_cells=int(settings["cells"]),

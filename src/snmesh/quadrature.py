@@ -59,10 +59,6 @@ def gauss_legendre(n: int) -> QuadratureSet:
     """n-point Gauss-Legendre rule; exact for polynomials of degree 2n - 1."""
     if n < 1:
         raise ValueError(f"Gauss-Legendre rule needs n >= 1, got {n}")
-    if n == 1:
-        nodes = np.array([0.0])
-        weights = np.array([2.0])
-        return QuadratureSet(nodes, weights, 1)
     k = np.arange(1, n + 1)
     x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2))  # Chebyshev-type seeds
     for _ in range(_NEWTON_MAXIT):

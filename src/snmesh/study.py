@@ -137,6 +137,8 @@ def run_convergence(
     if spec.kind == "mms":
         variants = ("standard+moving",)
     values = sorted(int(v) for v in values)
+    if not values:
+        raise ValueError("the sweep needs at least one value")
     grid = analysis_grid(spec, t_final)
     max_cells = max(values) if sweep == "cells" else fixed
     ref = reference_solution(

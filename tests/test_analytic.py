@@ -160,7 +160,7 @@ class TestGaussianSourceArrays:
         def loop_kernel(tau):
             return np.stack([an.phi_u_gaussian_pulse(x, t - tv, SIGMA) for tv in tau])
 
-        want = an._adaptive_panels(loop_kernel, 0.0, min(t, T0), 1e-12, x.shape)
+        want = an._adaptive_panels(loop_kernel, 0.0, min(t, T0), x.shape)
         got = an.phi_u_gaussian_source(self.X, t, SIGMA, T0)
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
 

@@ -333,6 +333,21 @@ class TestBench:
         assert not (tmp_path / "timing.csv").exists()
 
 
+@pytest.mark.parametrize("sweep", ["cells", "order"])
+@pytest.mark.parametrize("command", ["converge", "bench"])
+def test_empty_sweep_fails_before_the_reference(tmp_path, monkeypatch, capsys,
+                                                command, sweep):
+    # "--values ," parses to no values: exit 2, no output, no oracle work
+    calls = []
+    monkeypatch.setattr(study, "reference_solution", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "out"
+    rc = main([command, "--preset", "gaussian-pulse", "--sweep", sweep,
+               "--values", ",", "--out-dir", str(out)])
+    assert rc == 2
+    assert "at least one value" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,9 @@ mirrored evaluation of even profiles and the once-per-solve static source
 are checked against the same per-time projection.
 """
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -42,9 +45,16 @@ def make_config(kind="gaussian-pulse", c=1.0, mesh="static", mode="standard",
                      half_domain=half_domain)
 
 
+def mesh_state(system, t):
+    """The system's mesh at time t: edges, widths, velocities, n_cells."""
+    edges, widths = system.mesh_at(t)
+    return SimpleNamespace(edges=edges, widths=widths, n_cells=widths.size,
+                           velocities=system.mesh.velocities)
+
+
 def eval_direction(system, state, l, pts):
     """Reconstruct the angular flux of one discrete direction at points."""
-    ms = system.mesh_at(state.t)
+    ms = mesh_state(system, state.t)
     pts = np.asarray(pts, dtype=float)
     cell = np.clip(np.searchsorted(ms.edges, pts, side="left") - 1, 0, ms.n_cells - 1)
     xl = ms.edges[cell]
@@ -59,7 +69,7 @@ def reference_surface(system, u, t):
     """Upwinded surface term (N, K, J), from the mesh state and the edge
     traces of u alone.  On a half-domain system the inflow at the origin in
     direction mu is the outgoing trace in direction -mu."""
-    ms = system.mesh_at(t)
+    ms = mesh_state(system, t)
     j = np.arange(u.shape[2])
     right = np.sqrt(2.0 * j + 1.0)  # sqrt(2j + 1) P_j(1)
     left = right * (-1.0) ** j  # sqrt(2j + 1) P_j(-1)
@@ -79,7 +89,7 @@ def reference_surface(system, u, t):
 
 def reference_rhs(system, t, u):
     """Independent assembly: per-cell matrices, explicit loops."""
-    ms = system.mesh_at(t)
+    ms = mesh_state(system, t)
     n, k, j = u.shape
     G = motion_matrices(j - 1, ms.edges[:-1], ms.edges[1:],
                         ms.velocities[:-1], ms.velocities[1:])
@@ -194,12 +204,12 @@ class TestPolynomialExactness:
             return even[:, None] + system.mu[None, :, None, None] * slope[:, None]
 
         def inflow(t):
-            edges = system.mesh_at(t).edges
+            edges = mesh_state(system, t).edges
             n = cfg.n_angles
             return np.full(n, psi(edges[0], t)), np.full(n, psi(edges[-1], t))
 
         system.source_moments = source
-        system._boundary_override = inflow
+        system.boundary_values = inflow
         shape = (cfg.n_angles, cfg.n_cells, cfg.order + 1)
         start = system.project_function([0.0], psi)[0]
         state = SolutionState(np.broadcast_to(start, shape).copy(), 0.0)
@@ -217,7 +227,7 @@ class TestPureAbsorberBoundaryLayer:
                           mode="standard", K=8, M=6, N=8, t_final=0.5)
         system = TransportSystem(cfg)
         n = cfg.n_angles
-        system._boundary_override = lambda t: (np.ones(n), np.zeros(n))
+        system.boundary_values = lambda t: (np.ones(n), np.zeros(n))
         shape = (n, cfg.n_cells, cfg.order + 1)
         state = SolutionState(np.zeros(shape), 0.0)
         state, _ = system.advance(state, 12.0)
@@ -226,7 +236,7 @@ class TestPureAbsorberBoundaryLayer:
         for mu, w in zip(system.mu, system.weights):
             if mu > 0:
                 want += w * np.exp(-(pts + 1.0) / mu)
-        got = system.scalar_flux(state, pts, include_uncollided=False)
+        got = system.scalar_flux(state, pts)
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-6)
         # no particles travel leftward
         leftward = eval_direction(system, state, 0, pts)
@@ -249,7 +259,7 @@ class TestSourceMoments:
                           mode="uncollided", K=8, M=6, N=4, t_final=1.0)
         system = TransportSystem(cfg)
         t = 0.6
-        ms = system.mesh_at(t)
+        ms = mesh_state(system, t)
         mom = system.source_moments([t])[0]
         total = np.sum(mom[:, 0] * np.sqrt(ms.widths))
         want = 0.5 * float(an.uncollided_integral(system.spec, t))
@@ -306,7 +316,7 @@ def _per_time_project(system, ms, f, kinks=()):
 def per_time_source(system, t):
     """Source moments at one time through the analytic functions at a
     scalar t: the reference the batched evaluation must equal bit for bit."""
-    spec, ms = system.spec, system.mesh_at(t)
+    spec, ms = system.spec, mesh_state(system, t)
     if system.config.source_mode == "uncollided":
         if spec.kind == "plane-pulse" and system.config.mesh_mode == "moving":
             out = np.zeros((ms.n_cells, system.config.order + 1))
@@ -372,7 +382,7 @@ class TestBatchedSourceMoments:
         system = TransportSystem(cfg)
         times = 0.3 + _C[1:] * 0.05
         def kinks(t):
-            edge = system.mesh_at(t).edges[5]
+            edge = mesh_state(system, t).edges[5]
             step = np.inf if ulps > 0 else -np.inf
             for _ in range(abs(ulps)):
                 edge = np.nextafter(edge, step)
@@ -380,7 +390,7 @@ class TestBatchedSourceMoments:
         f = lambda x, t: np.exp(-x * x) * (1.0 + t)
         got = system.project_function(times, f, kinks)
         for tt, row in zip(times, got):
-            want = _per_time_project(system, system.mesh_at(tt),
+            want = _per_time_project(system, mesh_state(system, tt),
                                      lambda x: f(x, tt), kinks(tt))
             np.testing.assert_array_equal(row, want)
 
@@ -408,7 +418,7 @@ def parent_rhs(system, t, u):
     """rhs_coeffs as it was before it worked moment-major: (N, K, J) layout
     throughout, the mesh state and the source computed at t.  The new RHS
     must equal it bit for bit."""
-    ms = system.mesh_at(t)
+    ms = mesh_state(system, t)
     h = ms.widths
     inv_sqrt_h = 1.0 / np.sqrt(h)
     n, k_cells, j_funcs = u.shape
@@ -504,7 +514,7 @@ class TestMomentMajorRhs:
         system = TransportSystem(cfg)
         rng = np.random.default_rng(5)
         left, right = rng.standard_normal(8), rng.standard_normal(8)
-        system._boundary_override = lambda t: (left * (1.0 + t), right * t)
+        system.boundary_values = lambda t: (left * (1.0 + t), right * t)
         self.check(system)
 
     def test_no_attempt_cache_outlives_a_failed_advance(self):
@@ -514,7 +524,7 @@ class TestMomentMajorRhs:
                           K=8, M=2, N=4, x0=0.5, t0=1.0)
         system = TransportSystem(cfg)
         nan = np.full(4, np.nan)
-        system._boundary_override = lambda t: (nan, nan)
+        system.boundary_values = lambda t: (nan, nan)
         calls = []
         prepare = system._prepare_sources
         system._prepare_sources = lambda times: (calls.append(times), prepare(times))
@@ -613,7 +623,7 @@ class TestMirroredSources:
             return np.exp(-x * x) * (1.0 + t) + np.abs(x) * t
 
         def kinks(t):
-            edge = system.mesh_at(t).edges[K // 2 + 1]
+            edge = mesh_state(system, t).edges[K // 2 + 1]
             return (0.05 + 0.1 * t, 0.9, np.nextafter(edge, 0.0))
 
         times = 0.3 + _C[1:] * 0.05
@@ -622,7 +632,7 @@ class TestMirroredSources:
         np.testing.assert_array_equal(got, system.project_function(times, f, kinks))
         for tt, row in zip(times, got):
             np.testing.assert_array_equal(
-                row, _per_time_project(system, system.mesh_at(tt), lambda x: f(x, tt),
+                row, _per_time_project(system, mesh_state(system, tt), lambda x: f(x, tt),
                                        kinks(tt)))
 
     @pytest.mark.parametrize("kind,mesh", [("gaussian-pulse", "moving"),
@@ -784,20 +794,25 @@ class TestInitialState:
 
 
 class TestSolveDriver:
-    def test_checkpoints_recorded(self):
+    def test_solve_ends_at_t_final(self):
         cfg = make_config(kind="gaussian-pulse", mesh="static", mode="uncollided",
                           K=4, M=3, N=4, t_final=1.0)
-        res = TransportSystem(cfg).solve(checkpoints=(0.25, 0.5))
-        assert set(res.checkpoints) == {0.25, 0.5, 1.0}
-        assert res.checkpoints[0.25].t == 0.25
+        res = TransportSystem(cfg).solve()
+        assert res.state.t == 1.0
+        assert res.state.coeffs.shape == (4, 4, 4)
         assert res.stats.steps_accepted > 0
         assert res.wall_seconds > 0.0
 
-    def test_source_cutoff_becomes_a_stop(self):
+    def test_source_cutoff_becomes_a_stop(self, monkeypatch):
         cfg = make_config(kind="square-source", mesh="static", mode="uncollided",
                           K=4, M=3, N=4, t_final=0.6, t0=0.3)
-        res = TransportSystem(cfg).solve()
-        assert set(res.checkpoints) == {0.6}
+        system = TransportSystem(cfg)
+        targets = []
+        advance = system.advance
+        monkeypatch.setattr(system, "advance",
+                            lambda state, t: (targets.append(t), advance(state, t))[1])
+        res = system.solve()
+        assert targets == [0.3, 0.6] and res.state.t == 0.6
 
     def test_variant_label(self):
         cfg = make_config(mesh="moving", mode="uncollided")
@@ -877,7 +892,9 @@ class TestObservables:
         res = system.solve()
         pts = np.linspace(-0.8, 0.8, 9)
         total = system.scalar_flux(res.state, pts)
-        collided = system.scalar_flux(res.state, pts, include_uncollided=False)
+        # a standard-mode twin has the same mesh and reads the DG part alone
+        twin = TransportSystem(replace(cfg, source_mode="standard"))
+        collided = twin.scalar_flux(res.state, pts)
         u_part = an.uncollided_scalar_flux(system.spec, pts, res.state.t)
         np.testing.assert_allclose(total, collided + u_part, rtol=1e-13)
 

@@ -14,12 +14,15 @@ import snmesh
 from snmesh import integrate as stepper
 from snmesh.analytic import SourceSpec
 from snmesh.dgcore import T_START_EPS, RunConfig, TransportSystem
-from snmesh.integrate import IntegrationError, IntegrationStats, IntegratorConfig, integrate
+from snmesh.integrate import IntegrationError, IntegrationStats, integrate
+
+# the solver's default tolerances, RunConfig.rtol and RunConfig.atol
+RTOL, ATOL = RunConfig.rtol, RunConfig.atol
 
 
 def test_exponential_decay_to_tolerance():
     rhs = lambda t, y: -y
-    y, stats = integrate(rhs, np.array([1.0]), 0.0, 2.0)
+    y, stats = integrate(rhs, np.array([1.0]), 0.0, 2.0, RTOL, ATOL)
     assert y[0] == pytest.approx(np.exp(-2.0), rel=1e-11)
     assert stats.steps_accepted > 0
     assert stats.n_rhs >= 12 * stats.steps_accepted
@@ -34,8 +37,8 @@ def test_single_step_error_is_order_seven():
     hs = np.array([0.5, 0.4, 0.3, 0.2])
     errs = []
     for h in hs:
-        cfg = IntegratorConfig(rtol=1e6, atol=1e6, first_step=h, max_step=h)
-        y, stats = integrate(rhs, y0, 0.0, h, cfg)
+        # t1 = h caps the one step at h
+        y, stats = integrate(rhs, y0, 0.0, h, 1e6, 1e6, first_step=h)
         exact = np.array([np.cos(h), -np.sin(h)])
         errs.append(np.max(np.abs(y - exact)))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -46,8 +49,7 @@ def test_global_error_tracks_tolerance():
     rhs = lambda t, y: np.array([np.cos(t) * y[0]])
     out = {}
     for rtol in (1e-6, 1e-12):
-        cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-2)
-        y, _ = integrate(rhs, np.array([1.0]), 0.0, 3.0, cfg)
+        y, _ = integrate(rhs, np.array([1.0]), 0.0, 3.0, rtol, rtol * 1e-2)
         out[rtol] = abs(y[0] - np.exp(np.sin(3.0)))
     assert out[1e-12] < out[1e-6]
     assert out[1e-12] < 1e-9
@@ -55,14 +57,14 @@ def test_global_error_tracks_tolerance():
 
 def test_tight_tolerance_takes_more_steps():
     rhs = lambda t, y: np.array([np.sin(5 * t) * y[0]])
-    _, loose = integrate(rhs, np.array([1.0]), 0.0, 4.0, IntegratorConfig(rtol=1e-5, atol=1e-7))
-    _, tight = integrate(rhs, np.array([1.0]), 0.0, 4.0, IntegratorConfig(rtol=1e-12, atol=1e-13))
+    _, loose = integrate(rhs, np.array([1.0]), 0.0, 4.0, 1e-5, 1e-7)
+    _, tight = integrate(rhs, np.array([1.0]), 0.0, 4.0, 1e-12, 1e-13)
     assert tight.steps_accepted > loose.steps_accepted
 
 
 def test_zero_span_returns_copy():
     y0 = np.array([3.0, 4.0])
-    y, stats = integrate(lambda t, y: -y, y0, 1.0, 1.0)
+    y, stats = integrate(lambda t, y: -y, y0, 1.0, 1.0, RTOL, ATOL)
     np.testing.assert_array_equal(y, y0)
     assert y is not y0
     assert stats.steps_accepted == 0 and stats.n_rhs == 0
@@ -70,13 +72,13 @@ def test_zero_span_returns_copy():
 
 def test_backwards_span_rejected():
     with pytest.raises(ValueError):
-        integrate(lambda t, y: -y, np.array([1.0]), 1.0, 0.5)
+        integrate(lambda t, y: -y, np.array([1.0]), 1.0, 0.5, RTOL, ATOL)
 
 
-def test_step_budget_exhaustion_raises_with_state():
-    cfg = IntegratorConfig(max_steps=3, max_step=1e-3)
-    with pytest.raises(IntegrationError) as err:
-        integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, cfg)
+def test_step_budget_exhaustion_raises_with_state(monkeypatch):
+    monkeypatch.setattr(stepper, "_MAX_STEPS", 3)
+    with pytest.raises(IntegrationError, match="exceeded 3 steps") as err:
+        integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, RTOL, ATOL)
     assert err.value.t_last < 1.0
     assert err.value.y_last.shape == (1,)
 
@@ -89,7 +91,7 @@ def test_nan_rhs_raises_with_last_good_state():
         return np.full_like(y, np.nan) if t > 0.5 else -y
 
     with pytest.raises(IntegrationError, match="non-finite error estimate") as err:
-        integrate(rhs, np.array([1.0, 2.0]), 0.0, 1.0)
+        integrate(rhs, np.array([1.0, 2.0]), 0.0, 1.0, RTOL, ATOL)
     # the first attempt that meets the NaN stops the run; shrinking the step
     # until it underflows took 818 calls
     assert len(calls) < 100
@@ -100,10 +102,10 @@ def test_nan_rhs_raises_with_last_good_state():
 def test_overflow_accepted_by_error_control_raises():
     # y_new = inf makes the error scale infinite, so the step passes the
     # error test; only the finiteness check stops the run
-    cfg = IntegratorConfig(first_step=100.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError, match="finite") as err:
-            integrate(lambda t, y: np.full_like(y, 1e307), np.array([1.0]), 0.0, 1e3, cfg)
+            integrate(lambda t, y: np.full_like(y, 1e307), np.array([1.0]), 0.0, 1e3,
+                      RTOL, ATOL, first_step=100.0)
     assert err.value.t_last == 0.0
     np.testing.assert_array_equal(err.value.y_last, [1.0])
 
@@ -115,8 +117,7 @@ def test_first_step_hint_is_used():
         calls.append(t)
         return -y
 
-    cfg = IntegratorConfig(first_step=1e-8)
-    integrate(rhs, np.array([1.0]), 0.0, 1e-7, cfg)
+    integrate(rhs, np.array([1.0]), 0.0, 1e-7, RTOL, ATOL, first_step=1e-8)
     # with a hint the stepper skips its own step-size probe at t0
     assert calls[1] != calls[0] or len(calls) >= 12
 
@@ -133,37 +134,36 @@ def test_rejections_counted_on_rough_problem():
     def rhs(t, y):
         return np.array([1.0 / np.sqrt(abs(t - 0.5) + 1e-8)])
 
-    _, stats = integrate(rhs, np.array([0.0]), 0.0, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-12))
+    _, stats = integrate(rhs, np.array([0.0]), 0.0, 1.0, 1e-10, 1e-12)
     assert stats.steps_rejected >= 1
     assert stats.n_rhs > 12 * stats.steps_accepted
 
 
 def _parity_case(name):
-    """(rhs, y0, t0, t1, config) of one problem the stepper must run exactly
-    as scipy's DOP853 does."""
+    """(rhs, y0, t0, t1, tolerances) of one problem the stepper must run
+    exactly as scipy's DOP853 does; the tolerances are (rtol, atol,
+    first_step)."""
     if name == "decay":
         rates = np.linspace(0.5, 2.0, 37)
         y0 = np.linspace(-3.0, 5.0, 37)
-        return lambda t, y: -rates * y, y0, 0.0, 2.0, IntegratorConfig()
+        return lambda t, y: -rates * y, y0, 0.0, 2.0, (RTOL, ATOL, None)
     if name == "oscillator":
         rhs = lambda t, y: np.array([y[1], -y[0]])
-        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, first_step=0.01)
-        return rhs, np.array([1.0, 0.0]), 0.0, 10.0, cfg
+        return rhs, np.array([1.0, 0.0]), 0.0, 10.0, (1e-10, 1e-12, 0.01)
     if name == "kink":
         rhs = lambda t, y: np.array([1.0 / np.sqrt(abs(t - 0.5) + 1e-8)])
-        return rhs, np.array([0.0]), 0.0, 1.0, IntegratorConfig(rtol=1e-10, atol=1e-12)
+        return rhs, np.array([0.0]), 0.0, 1.0, (1e-10, 1e-12, None)
     spec = SourceSpec("square-source", c=1.0, x0=0.5, t0=5.0)
     system = TransportSystem(RunConfig(spec, 8, 2, 4, "moving", "uncollided"))
-    cfg = IntegratorConfig(first_step=T_START_EPS)
     y0 = system.project_initial_condition().coeffs.ravel()
-    return system.rhs_flat, y0, system.t_start, system.config.t_final, cfg
+    return system.rhs_flat, y0, system.t_start, system.config.t_final, (RTOL, ATOL, T_START_EPS)
 
 
 @pytest.mark.parametrize("name", ["decay", "oscillator", "kink", "square-source-u+m"])
 def test_bitwise_equal_to_scipy_dop853(monkeypatch, name):
-    rhs, y0, t0, t1, cfg = _parity_case(name)
-    ref = DOP853(rhs, t0, y0, t_bound=t1, rtol=cfg.rtol, atol=cfg.atol,
-                 first_step=cfg.first_step, max_step=cfg.max_step)
+    rhs, y0, t0, t1, tols = _parity_case(name)
+    rtol, atol, first_step = tols
+    ref = DOP853(rhs, t0, y0, t_bound=t1, rtol=rtol, atol=atol, first_step=first_step)
     ref_t = []
     while ref.status == "running":
         ref.step()
@@ -179,7 +179,7 @@ def test_bitwise_equal_to_scipy_dop853(monkeypatch, name):
         return rk_step(fun, t, *rest)
 
     monkeypatch.setattr(stepper, "_rk_step", spy)
-    y, stats = integrate(rhs, y0, t0, t1, cfg)
+    y, stats = integrate(rhs, y0, t0, t1, *tols)
     own_t = [b for a, b in zip(starts, starts[1:]) if b != a] + [t1]
 
     np.testing.assert_array_equal(y, ref.y)
@@ -196,9 +196,8 @@ def test_stage_buffers_leave_the_caller_arrays_alone():
     # y0 keeps its values, and results of separate calls share no memory
     rhs = lambda t, y: np.array([y[1], -y[0]])
     y0 = np.array([1.0, 0.5])
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12)
-    y_a, stats = integrate(rhs, y0, 0.0, 3.0, cfg)
-    y_b, _ = integrate(rhs, y0, 0.0, 3.0, cfg)
+    y_a, stats = integrate(rhs, y0, 0.0, 3.0, 1e-10, 1e-12)
+    y_b, _ = integrate(rhs, y0, 0.0, 3.0, 1e-10, 1e-12)
     np.testing.assert_array_equal(y0, [1.0, 0.5])
     assert stats.steps_accepted > 2
     assert not np.shares_memory(y_a, y0) and not np.shares_memory(y_a, y_b)
@@ -250,8 +249,7 @@ def test_hook_sees_every_attempt_and_every_stage_time(monkeypatch, first_step):
         events.append(("rhs", t))
         return np.array([1.0 / np.sqrt(abs(t - 0.5) + 1e-8)])
 
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, first_step=first_step)
-    _, stats = integrate(rhs, np.array([0.0]), 0.0, 1.0, cfg,
+    _, stats = integrate(rhs, np.array([0.0]), 0.0, 1.0, 1e-10, 1e-12, first_step,
                          prepare=lambda times: events.append(("hook", times.copy())))
     hooks = [v for kind, v in events if kind == "hook"]
     assert stats.steps_rejected >= 1
@@ -275,13 +273,13 @@ def test_hook_sees_every_attempt_and_every_stage_time(monkeypatch, first_step):
 def test_hook_changes_no_bit(monkeypatch, name):
     # the transport case runs with the solver's own hook, which serves its
     # stage sources from one batch; the others with a recording hook
-    rhs, y0, t0, t1, cfg = _parity_case(name)
+    rhs, y0, t0, t1, tols = _parity_case(name)
     owner = getattr(rhs, "__self__", None)
     prepare = owner._prepare_sources if owner is not None else lambda times: None
     runs = []
     for hook in (None, prepare):
         attempts = _record_attempts(monkeypatch)
-        y, stats = integrate(rhs, y0, t0, t1, cfg, prepare=hook)
+        y, stats = integrate(rhs, y0, t0, t1, *tols, prepare=hook)
         starts = [t for t, _ in attempts]
         accepted_t = [b for a, b in zip(starts, starts[1:]) if b != a] + [t1]
         runs.append((y, accepted_t, stats))
