@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -153,25 +153,10 @@ def default_cache_dir() -> Path:
 
 
 def config_fingerprint(config: RunConfig, grid: np.ndarray) -> str:
-    spec = config.spec
-    payload = {
-        "kind": spec.kind,
-        "c": spec.c,
-        "x0": spec.x0,
-        "sigma": spec.sigma,
-        "t0": spec.t0,
-        "amplitude": spec.amplitude,
-        "n_angles": config.n_angles,
-        "order": config.order,
-        "n_cells": config.n_cells,
-        "mesh_mode": config.mesh_mode,
-        "source_mode": config.source_mode,
-        "t_final": config.t_final,
-        "rtol": config.rtol,
-        "atol": config.atol,
-        "half_domain": config.half_domain,
-        "grid": [float(grid[0]), float(grid[-1]), int(grid.size)],
-    }
+    # every RunConfig and SourceSpec field, so none can miss the key
+    payload = asdict(config)
+    payload.update(payload.pop("spec"))
+    payload["grid"] = [float(grid[0]), float(grid[-1]), int(grid.size)]
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
@@ -221,11 +206,8 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
     result = system.solve()
     pts = np.abs(grid) if config.half_domain else grid
     phi = system.scalar_flux(result.state, pts)
-    phi_u = (
-        analytic.uncollided_scalar_flux(config.spec, grid, config.t_final)
-        if config.source_mode == "uncollided"
-        else np.zeros_like(grid)
-    )
+    # every oracle runs in uncollided mode
+    phi_u = analytic.uncollided_scalar_flux(config.spec, grid, config.t_final)
     meta = {
         "fingerprint": key,
         "kind": config.spec.kind,

@@ -11,33 +11,35 @@ Parameter precedence: preset, then config file, then command-line flags.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analytic
 from .analysis import OracleGateError, analysis_grid
-from .dgcore import TransportSystem
+from .dgcore import MESH_MODES, SOURCE_MODES, TransportSystem
 from .presets import config_from_settings, preset_names, preset_settings
 from .study import VARIANTS, run_convergence, run_scalecheck
 
-# Config-file and flag spellings (left) against internal settings keys.
-_KEY_MAP = {
-    "kind": "kind",
-    "c": "c",
-    "x0": "x0",
-    "t0": "t0",
-    "sigma": "sigma",
-    "N": "angles",
-    "M": "order",
-    "K": "cells",
-    "mesh": "mesh_mode",
-    "source_mode": "source_mode",
-    "t_final": "t_final",
-    "amplitude": "amplitude",
-}
-_STRING_KEYS = ("kind", "mesh_mode", "source_mode")
-_INT_KEYS = ("angles", "order", "cells")
+# The problem parameters, one row each: config-file key, flag spellings,
+# settings key, type, and the flag's choices or help text.
+_PARAMETERS = (
+    ("kind", ("--kind",), "kind", str, analytic.KINDS),
+    ("c", ("--c",), "c", float, "scattering ratio"),
+    ("x0", ("--x0",), "x0", float, "half-width of square or plane sources"),
+    ("sigma", ("--sigma",), "sigma", float, "Gaussian width"),
+    ("t0", ("--t0",), "t0", float, "source switch-off time"),
+    ("N", ("--N",), "angles", int, "number of discrete directions"),
+    ("M", ("--M",), "order", int, "basis order per cell (M+1 functions)"),
+    ("K", ("--K",), "cells", int, "number of mesh cells"),
+    ("mesh", ("--mesh",), "mesh_mode", str, MESH_MODES),
+    ("source_mode", ("--source-mode",), "source_mode", str, SOURCE_MODES),
+    ("t_final", ("--t", "--t-final"), "t_final", float, "final time"),
+    ("amplitude", ("--amplitude",), "amplitude", float, "source strength factor"),
+)
+_KEY_MAP = {name: key for name, _, key, _, _ in _PARAMETERS}
+_TYPES = {key: type_ for _, _, key, type_, _ in _PARAMETERS}
 
 
 def _format_field(value):
@@ -81,17 +83,6 @@ def parse_config_file(path):
     return out
 
 
-def _coerce(settings):
-    for key, value in list(settings.items()):
-        if key in _STRING_KEYS:
-            settings[key] = str(value)
-        elif key in _INT_KEYS:
-            settings[key] = int(value)
-        else:
-            settings[key] = float(value)
-    return settings
-
-
 def gather_settings(args):
     """Merge preset, config file, and flags (later sources win)."""
     if args.preset:
@@ -104,11 +95,11 @@ def gather_settings(args):
         )
     if args.config:
         settings.update(parse_config_file(args.config))
-    for flag, key in _KEY_MAP.items():
+    for key in _TYPES:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    _coerce(settings)
+    settings = {key: _TYPES[key](value) for key, value in settings.items()}
     if "kind" not in settings:
         raise ValueError("no problem given: use --preset or --kind")
     return settings
@@ -118,18 +109,6 @@ def _uncollided_column(spec, grid, t):
     if spec.kind == "mms":
         return np.zeros_like(grid)
     return analytic.uncollided_scalar_flux(spec, grid, t)
-
-
-def _fit_payload(fit):
-    if fit is None:
-        return None
-    return {
-        "rate": fit.rate,
-        "intercept": fit.intercept,
-        "n_used": fit.n_used,
-        "residual": fit.residual,
-        "spans_factor_four": fit.spans_factor_four,
-    }
 
 
 def _point_payload(point):
@@ -148,15 +127,6 @@ def _stats_payload(stats):
         "steps_accepted": stats.steps_accepted,
         "steps_rejected": stats.steps_rejected,
         "rhs_evaluations": stats.n_rhs,
-    }
-
-
-def _gate_payload(ref):
-    return {
-        "gate": ref.gate,
-        "gate_spatial": ref.gate_spatial,
-        "gate_angular": ref.gate_angular,
-        "label": ref.label,
     }
 
 
@@ -239,7 +209,7 @@ def cmd_converge(args):
                 fit.intercept if fit else float("nan"),
             ))
         per_variant[variant] = {
-            "fit": _fit_payload(fit),
+            "fit": asdict(fit) if fit else None,
             "skipped_values": list(record.skipped),
             "improvement_over_baseline": study.improvement_over_baseline(
                 variant
@@ -250,7 +220,9 @@ def cmd_converge(args):
         args, settings, "convergence.csv",
         ("variant", "sweep", "value", "rmse", "fit_A_or_c1", "fit_C"),
         rows,
-        reference=_gate_payload(study.reference),
+        reference={
+            k: v for k, v in asdict(study.reference).items() if k != "phi"
+        },
         variants=per_variant,
         **sweep,
     )
@@ -282,7 +254,7 @@ def cmd_scalecheck(args):
             np.abs(report.phi_direct - report.phi_scaled),
         ),
         variant=variant,
-        t_benchmark=report.t_benchmark,
+        t_benchmark=settings["t_final"],
         t_scaled=report.t_scaled,
         max_abs_diff=report.max_abs_diff,
         integrator={k: _stats_payload(v) for k, v in report.stats.items()},
@@ -319,29 +291,10 @@ def _add_parameter_flags(parser):
                         help="'key = value' parameter file")
     parser.add_argument("--out-dir", type=Path, default=Path("snmesh-out"),
                         help="directory for CSV and manifest output")
-    parser.add_argument("--kind", choices=analytic.KINDS, dest="kind")
-    parser.add_argument("--c", type=float, dest="c",
-                        help="scattering ratio")
-    parser.add_argument("--x0", type=float, dest="x0",
-                        help="half-width of square or plane sources")
-    parser.add_argument("--sigma", type=float, dest="sigma",
-                        help="Gaussian width")
-    parser.add_argument("--t0", type=float, dest="t0",
-                        help="source switch-off time")
-    parser.add_argument("--N", type=int, dest="angles",
-                        help="number of discrete directions")
-    parser.add_argument("--M", type=int, dest="order",
-                        help="basis order per cell (M+1 functions)")
-    parser.add_argument("--K", type=int, dest="cells",
-                        help="number of mesh cells")
-    parser.add_argument("--mesh", choices=("static", "moving"),
-                        dest="mesh_mode")
-    parser.add_argument("--source-mode", choices=("standard", "uncollided"),
-                        dest="source_mode")
-    parser.add_argument("--t", "--t-final", type=float, dest="t_final",
-                        help="final time")
-    parser.add_argument("--amplitude", type=float, dest="amplitude",
-                        help="source strength factor")
+    for _, flags, key, type_, extra in _PARAMETERS:
+        listed = isinstance(extra, tuple)
+        parser.add_argument(*flags, type=type_, dest=key,
+                            **{"choices" if listed else "help": extra})
 
 
 def _add_sweep_flags(parser):

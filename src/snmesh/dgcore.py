@@ -134,6 +134,12 @@ class RunConfig:
                 "half_domain is wired only for the plane-pulse uncollided "
                 "moving mesh, the one case whose cost warrants it"
             )
+        start = start_time(self)
+        if self.t_final < start:
+            raise ValueError(
+                f"t_final {self.t_final:g} is before this {kind} "
+                f"{self.variant} run's deferred start t = {start:g}"
+            )
 
     @property
     def variant(self) -> str:

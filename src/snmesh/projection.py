@@ -17,7 +17,7 @@ import numpy as np
 from .mesh import edge_table
 
 
-def projection_points(mesh, rule, times, kinks, mirror=False):
+def projection_points(mesh, rule, times, kinks, mirror):
     """Nodes of the quadrature rule on panels of every cell at each time,
     with the cells split at the interior kinks ``kinks(t)`` names for that
     time.

@@ -17,11 +17,10 @@ _NEWTON_MAXIT = 100
 
 @dataclass(frozen=True)
 class QuadratureSet:
-    """Immutable node/weight pair with the rule's polynomial exactness degree."""
+    """Immutable node/weight pair."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    exactness: int
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
@@ -72,7 +71,7 @@ def gauss_legendre(n: int) -> QuadratureSet:
     nodes = 0.5 * (nodes - nodes[::-1])
     _, dp, _ = _legendre_and_derivs(n, nodes)
     weights = 2.0 / ((1.0 - nodes * nodes) * dp * dp)
-    return QuadratureSet(nodes, weights, 2 * n - 1)
+    return QuadratureSet(nodes, weights)
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +85,7 @@ def gauss_lobatto(n: int) -> QuadratureSet:
     if n == 2:
         nodes = np.array([-1.0, 1.0])
         weights = np.array([1.0, 1.0])
-        return QuadratureSet(nodes, weights, 1)
+        return QuadratureSet(nodes, weights)
     m = n - 1
     k = np.arange(1, n - 1)
     x = np.cos(np.pi * k / m)  # Chebyshev-Lobatto seeds for roots of P'_{n-1}
@@ -101,4 +100,4 @@ def gauss_lobatto(n: int) -> QuadratureSet:
     nodes = np.concatenate(([-1.0], interior, [1.0]))
     p, _ = _legendre_pair(m, nodes)
     weights = 2.0 / (n * m * p * p)
-    return QuadratureSet(nodes, weights, 2 * n - 3)
+    return QuadratureSet(nodes, weights)

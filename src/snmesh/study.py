@@ -79,10 +79,6 @@ class VariantRecord:
 
 @dataclass
 class ConvergenceStudy:
-    spec: SourceSpec
-    sweep: str  # "cells" or "order"
-    t_final: float
-    n_angles: int
     grid: np.ndarray
     reference: ReferenceSolution
     records: dict  # variant -> VariantRecord
@@ -139,10 +135,12 @@ def run_convergence(
     values = sorted(int(v) for v in values)
     if not values:
         raise ValueError("the sweep needs at least one value")
+    cells, orders = (values, [fixed]) if sweep == "cells" else ([fixed], values)
+    if min(cells) < 1 or min(orders) < 0:
+        raise ValueError("the sweep needs cells >= 1 and order >= 0")
     grid = analysis_grid(spec, t_final)
-    max_cells = max(values) if sweep == "cells" else fixed
     ref = reference_solution(
-        spec, t_final, grid, max_cells, n_angles, cache_dir=cache_dir
+        spec, t_final, grid, max(cells), n_angles, cache_dir=cache_dir
     )
     records = {}
     for variant in variants:
@@ -173,9 +171,7 @@ def run_convergence(
             else:
                 fit = fit_spectral(vals, errs, ref.gate)
         records[variant] = VariantRecord(variant, points, fit, skipped)
-    return ConvergenceStudy(
-        spec, sweep, t_final, n_angles, grid, ref, records
-    )
+    return ConvergenceStudy(grid, ref, records)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +180,6 @@ def run_convergence(
 
 @dataclass
 class ScaleCheckResult:
-    spec: SourceSpec
-    t_benchmark: float
     t_scaled: float
     grid: np.ndarray
     phi_direct: np.ndarray
@@ -237,6 +231,6 @@ def run_scalecheck(
     )
     diff = float(np.max(np.abs(phi_direct - phi_scaled)))
     return ScaleCheckResult(
-        spec, t_benchmark, t_scaled, grid, phi_direct, phi_scaled, diff,
+        t_scaled, grid, phi_direct, phi_scaled, diff,
         {"benchmark": bench.stats, "direct": direct.stats},
     )

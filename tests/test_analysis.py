@@ -111,8 +111,7 @@ class TestFits:
         better = fit_algebraic([2, 4, 8], 0.1 * np.array([2., 4., 8.]) ** -3)
         records = {v: VariantRecord(v, [], fit, [])
                    for v, fit in (("standard+static", base), ("uncollided+moving", better))}
-        study = ConvergenceStudy(SourceSpec("gaussian-pulse", sigma=0.5), "cells",
-                                 1.0, 8, np.zeros(1), None, records)
+        study = ConvergenceStudy(np.zeros(1), None, records)
         assert study.improvement_over_baseline("uncollided+moving") == pytest.approx(
             10.0, rel=1e-10)
 

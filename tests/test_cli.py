@@ -2,13 +2,14 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from snmesh import study
-from snmesh.analysis import GRID_POINTS, OracleGateError
-from snmesh.cli import main, parse_config_file
+from snmesh.analysis import GRID_POINTS, OracleGateError, fit_spectral
+from snmesh.cli import _PARAMETERS, build_parser, gather_settings, main, parse_config_file
 from snmesh.presets import preset_names, preset_settings
 
 
@@ -145,6 +146,30 @@ class TestSettingsPrecedence:
         assert rc == 2
 
 
+@pytest.mark.parametrize("row", _PARAMETERS, ids=[row[0] for row in _PARAMETERS])
+def test_parameter_table_row(tmp_path, row):
+    # the config-file key and each flag spelling set the row's settings key
+    # with the row's type, and a flag beats the file
+    name, flags, key, type_, extra = row
+    if isinstance(extra, tuple):
+        file_value, flag_value = extra[0], extra[-1]
+    else:
+        file_value, flag_value = {int: ("10", "12"), float: ("0.25", "0.75")}[type_]
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("%s = %s\n" % (name, file_value))
+
+    def setting(*argv):
+        args = build_parser().parse_args(
+            ["solve", "--preset", "gaussian-pulse", "--config", str(cfg), *argv])
+        return gather_settings(args)[key]
+
+    got = setting()
+    assert type(got) is type_ and got == type_(file_value)
+    for flag in flags:
+        got = setting(flag, flag_value)
+        assert type(got) is type_ and got == type_(flag_value)
+
+
 class TestConverge:
     def test_mms_order_sweep(self, tmp_path):
         # three sweep values so the fit's span flag takes its computed
@@ -267,6 +292,35 @@ MMS_SWEEP = [
     "--preset", "mms", "--N", "8", "--K", "4", "--t", "0.5",
     "--sweep", "order", "--values", "2,3",
 ]
+
+
+def test_converge_manifest_records(tmp_path):
+    # "fit" is every FitResult field, "used" the fitted sweep values; the
+    # reference records its gates and label, not its flux
+    assert main(["converge", *MMS_SWEEP, "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    reference = manifest["reference"]
+    assert set(reference) == {"gate", "gate_spatial", "gate_angular", "label"}
+    record = manifest["variants"]["standard+moving"]
+    values = [p["value"] for p in record["points"]]
+    fit = fit_spectral(values, [p["rmse"] for p in record["points"]], reference["gate"])
+    assert record["fit"] == {**asdict(fit), "used": list(fit.used)}
+    assert record["fit"]["used"] == values == [2, 3]
+
+
+@pytest.mark.parametrize("sweep,values", [("cells", "0"), ("order", "-1,2")])
+def test_invalid_sweep_values_fail_before_the_oracles(tmp_path, monkeypatch,
+                                                      sweep, values):
+    # cells < 1 or order < 0: exit 2 with no output and no oracle written
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("SNMESH_CACHE_DIR", str(cache))
+    out = tmp_path / "out"
+    rc = main(["converge", "--preset", "gaussian-pulse", "--sweep", sweep,
+               "--values=" + values, "--N", "4", "--M", "1", "--t", "0.5",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert not out.exists() and list(cache.iterdir()) == []
 
 
 class TestBench:

@@ -574,7 +574,7 @@ class TestMirroredSources:
         system.source_moments(times)
         assert len(seen) == 1 and seen[0].min() > 0.0
         kinks = lambda t: an.kink_radii(system.spec, t, mode == "uncollided")
-        full = projection_points(system.mesh, system._proj_rule, times, kinks)[0]
+        full = projection_points(system.mesh, system._proj_rule, times, kinks, False)[0]
         # K = 8 puts an edge at 0, so exactly half the nodes are used
         assert seen[0].size == full.size // 2
 
@@ -589,7 +589,7 @@ class TestMirroredSources:
         system = TransportSystem(cfg)
         seen = self.recorder(monkeypatch, "mms_source")
         system.source_moments(times)
-        full = projection_points(system.mesh, system._proj_rule, times, None)[0]
+        full = projection_points(system.mesh, system._proj_rule, times, None, False)[0]
         # the even part once on the upper half, the odd slope on every node
         sizes = sorted(x.size for x in seen)
         assert sizes[0] == full.size // 2 and sizes[-1] == full.size
@@ -604,7 +604,7 @@ class TestMirroredSources:
         f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
         times = 0.3 + _C[1:] * 0.05
         got = system.project_function(times, f, None, True)
-        full = projection_points(system.mesh, system._proj_rule, times, None)[0]
+        full = projection_points(system.mesh, system._proj_rule, times, None, False)[0]
         assert sizes == [full.size]
         np.testing.assert_array_equal(got, system.project_function(times, f))
 
@@ -651,7 +651,8 @@ class TestMirroredSources:
         np.testing.assert_array_equal(x[::-1], -x)
         np.testing.assert_array_equal(node_t[::-1], node_t)
         assert x[x.size // 2:].min() > 0.0
-        plain = projection_points(system.mesh, system._proj_rule, times, kinks)
+        plain = projection_points(system.mesh, system._proj_rule, times, kinks,
+                                  False)
         assert sorted(zip(x, node_t)) == sorted(zip(plain[0], plain[1]))
         odd = lambda x, t: np.exp(x) * (1.0 + t)
         np.testing.assert_array_equal(
@@ -668,7 +669,7 @@ class TestMirroredSources:
         f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
         times = 0.3 + _C[1:] * 0.05
         system.project_function(times, f, None, True)
-        full = projection_points(system.mesh, system._proj_rule, times, None)[0]
+        full = projection_points(system.mesh, system._proj_rule, times, None, False)[0]
         assert sizes == [full.size]
 
     @pytest.mark.parametrize("kind", ["square-source", "gaussian-source"])
@@ -831,6 +832,16 @@ class TestGeometryChoices:
                                       mode="standard")) == 0.0
         assert start_time(make_config(kind="square-pulse", mesh="static",
                                       mode="standard")) == 0.0
+
+    def test_t_final_before_the_deferred_start_fails(self):
+        # named in the message, not left to the integrator's "cannot
+        # integrate backwards"
+        with pytest.raises(ValueError, match="deferred start t = 1e-05"):
+            make_config(kind="plane-pulse", mesh="moving", mode="uncollided",
+                        t_final=1e-6)
+        cfg = make_config(kind="plane-pulse", mesh="moving", mode="uncollided",
+                          t_final=PLANE_T_START)
+        assert cfg.t_final == start_time(cfg)
 
     def test_mesh_families(self):
         m = build_mesh(make_config(kind="plane-pulse", mesh="moving", mode="uncollided"))

@@ -46,7 +46,6 @@ def test_legendre_matches_reference_tables(n):
 ])
 def test_moment_exactness(maker, n, exactness):
     rule = maker(n)
-    assert rule.exactness == exactness
     for p in range(exactness + 1):
         exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
         got = np.sum(rule.weights * rule.nodes**p)
