@@ -17,7 +17,7 @@ equals the one-time value bit for bit.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from ._special import erf, expi
+from ._scipy import erf, expi
 
 KINDS = (
     "plane-pulse",

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__, analytic
 from .analysis import OracleGateError, analysis_grid
 from .dgcore import MESH_MODES, SOURCE_MODES, TransportSystem
+from .integrate import IntegrationError
 from .presets import config_from_settings, preset_names, preset_settings
 from .study import VARIANTS, run_convergence, run_scalecheck
 
@@ -350,6 +351,9 @@ def main(argv=None):
         return args.func(args)
     except OracleGateError as exc:
         print("oracle gate failure: %s" % exc, file=sys.stderr)
+        return 1
+    except IntegrationError as exc:
+        print("integration failure: %s" % exc, file=sys.stderr)
         return 1
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .basis import legendre_table
+
 _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
 
@@ -31,22 +33,10 @@ class QuadratureSet:
         return self.nodes.size
 
 
-def _legendre_pair(n, x):
-    """P_n(x) and P_{n-1}(x) by the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    return p, p_prev
-
-
 def _legendre_and_derivs(n, x):
-    """P_n(x), P_n'(x), P_n''(x); valid only at interior points |x| < 1."""
-    p, p_prev = _legendre_pair(n, x)
-    x = np.asarray(x, dtype=float)
+    """P_n(x), P_n'(x), P_n''(x) for n >= 1; valid only at interior points
+    |x| < 1."""
+    p, p_prev = legendre_table(x, n)[[n, n - 1]]
     omx2 = 1.0 - x * x
     dp = n * (p_prev - x * p) / omx2
     d2p = (2.0 * x * dp - n * (n + 1) * p) / omx2
@@ -98,6 +88,6 @@ def gauss_lobatto(n: int) -> QuadratureSet:
     interior = np.sort(x)
     interior = 0.5 * (interior - interior[::-1])
     nodes = np.concatenate(([-1.0], interior, [1.0]))
-    p, _ = _legendre_pair(m, nodes)
+    p = legendre_table(nodes, m)[m]
     weights = 2.0 / (n * m * p * p)
     return QuadratureSet(nodes, weights)

@@ -71,7 +71,6 @@ class SweepPoint:
 
 @dataclass
 class VariantRecord:
-    variant: str
     points: list
     fit: Optional[FitResult]
     skipped: list
@@ -79,7 +78,6 @@ class VariantRecord:
 
 @dataclass
 class ConvergenceStudy:
-    grid: np.ndarray
     reference: ReferenceSolution
     records: dict  # variant -> VariantRecord
 
@@ -170,8 +168,8 @@ def run_convergence(
                 fit = fit_algebraic(vals, errs, ref.gate)
             else:
                 fit = fit_spectral(vals, errs, ref.gate)
-        records[variant] = VariantRecord(variant, points, fit, skipped)
-    return ConvergenceStudy(grid, ref, records)
+        records[variant] = VariantRecord(points, fit, skipped)
+    return ConvergenceStudy(ref, records)
 
 
 # ---------------------------------------------------------------------------

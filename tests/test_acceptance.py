@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from snmesh import analytic
-from snmesh.analysis import fit_spectral, rmse
+from snmesh.analysis import analysis_grid, fit_spectral, rmse
 from snmesh.analytic import SourceSpec, scaled_parameters
 from snmesh.dgcore import RunConfig, SolutionState, TransportSystem
 from snmesh.study import run_convergence, run_scalecheck
@@ -78,7 +78,8 @@ def test_criterion_1_manufactured_spectral():
     c1 = rec.fit.rate
     errs = {p.value: p.rmse for p in rec.points}
     tail = errs[10]
-    floors = {m: mms_projection_floor(spec, m, 4, 32, 1.0, out.grid) for m in errs}
+    grid = analysis_grid(spec, 1.0)
+    floors = {m: mms_projection_floor(spec, m, 4, 32, 1.0, grid) for m in errs}
     ratios = {m: errs[m] / floors[m] for m in errs}
     stepper_tol = RunConfig.atol
     checked = [m for m in errs if floors[m] > stepper_tol]

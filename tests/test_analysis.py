@@ -109,9 +109,9 @@ class TestFits:
     def test_intercept_improvement(self):
         base = fit_algebraic([2, 4, 8], 1.0 * np.array([2., 4., 8.]) ** -3)
         better = fit_algebraic([2, 4, 8], 0.1 * np.array([2., 4., 8.]) ** -3)
-        records = {v: VariantRecord(v, [], fit, [])
+        records = {v: VariantRecord([], fit, [])
                    for v, fit in (("standard+static", base), ("uncollided+moving", better))}
-        study = ConvergenceStudy(np.zeros(1), None, records)
+        study = ConvergenceStudy(None, records)
         assert study.improvement_over_baseline("uncollided+moving") == pytest.approx(
             10.0, rel=1e-10)
 

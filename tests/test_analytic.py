@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expi
 
-from snmesh import _special, analytic as an
+from snmesh import _scipy, analytic as an
 from snmesh.analytic import SourceSpec
 from snmesh.quadrature import gauss_legendre
 
@@ -442,8 +442,8 @@ class TestSpecialFunctions:
         if route == "extension":
             erf, expi = an.erf, an.expi
         else:
-            monkeypatch.setattr(_special, "_extension_path", lambda: None)
-            erf, expi = _special._load()
+            monkeypatch.setattr(_scipy, "_locate", lambda stem, suffixes: None)
+            erf, expi = _scipy._special_functions()
         # the extension route must not hand back the package's own objects
         assert (erf is special.erf) == (route == "fallback")
         for ours, scipys in ((erf, special.erf), (expi, special.expi)):

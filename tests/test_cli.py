@@ -323,6 +323,20 @@ def test_invalid_sweep_values_fail_before_the_oracles(tmp_path, monkeypatch,
     assert not out.exists() and list(cache.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integration_failure_exits_1(tmp_path, capsys):
+    # c = 1e300 overflows the first stages: the stepper's IntegrationError
+    # ends the run with exit 1 and one line on stderr, not a traceback
+    out = tmp_path / "out"
+    rc = main(["solve", "--preset", "gaussian-pulse", "--c", "1e300", "--K", "4",
+               "--N", "4", "--M", "2", "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "integration failure: non-finite error estimate in the step" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestBench:
     def test_timing_table(self, tmp_path, cache_dir):
         rc = main([

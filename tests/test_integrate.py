@@ -1,6 +1,7 @@
 """Time integrator contract: accuracy order, tolerance response, failure paths,
 and bit-for-bit agreement with scipy's DOP853."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -220,6 +221,43 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# sha256 of the bytes of _C, _A, _B, _E3 and _E5 as literals transcribed from
+# scipy 1.17.1's dop853_coefficients.py, before the stepper read that file
+TABLEAU_SHA256 = "a49dcfed94cbccd2c7fa0f162aa31092c83eda9cdf74a774afaef6f4d774305d"
+
+
+def test_tableau_bytes_are_pinned():
+    # a scipy release that changes one digit of the tableau would move every
+    # step, every number and every cached oracle
+    arrays = (stepper._C, stepper._A, stepper._B, stepper._E3, stepper._E5)
+    assert [a.shape for a in arrays] == [(12,), (13, 12), (12,), (13,), (13,)]
+    assert all(a.dtype == np.float64 for a in arrays)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == TABLEAU_SHA256
+
+
+def test_missing_tableau_file_raises_import_error():
+    # no fallback to scipy.integrate: the error names the file it looked for
+    src = Path(snmesh.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys\n"
+        "from snmesh import _scipy\n"
+        "_scipy._locate = lambda stem, suffixes: None\n"
+        "try:\n"
+        "    import snmesh.integrate\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "ImportError scipy/integrate/_ivp/dop853_coefficients.py not found",
+        "False",
+    ]
 
 
 # ---------------------------------------------------------------------------
