@@ -7,7 +7,6 @@ gate value bounds how far the oracle itself can be trusted and convergence
 fits drop points that have saturated at that gate.
 """
 
-import hashlib
 import json
 import os
 import tempfile
@@ -15,6 +14,16 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+
+# CPython's own SHA-256, which hashlib falls back to without OpenSSL: the
+# same digests, and no process maps libcrypto (3.6 MB) for one cache key
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import analytic
 from .analytic import SourceSpec
@@ -75,6 +84,7 @@ class FitResult:
     used: tuple
     residual: float
     spans_factor_four: bool
+    fallback: bool  # under three points cleared the floor: the leading three kept
 
 
 def _fit(xs, log_rmses):
@@ -82,6 +92,10 @@ def _fit(xs, log_rmses):
     slope, intercept = coeffs
     residual = float(np.sqrt(res[0] / len(xs))) if len(res) and len(xs) > 2 else 0.0
     return slope, float(np.exp(intercept)), residual
+
+
+def _above_floor(rmses, gate):
+    return np.asarray(rmses, dtype=float) >= 10.0 * gate
 
 
 def saturation_mask(rmses, gate):
@@ -92,11 +106,10 @@ def saturation_mask(rmses, gate):
     picking by error size would grab points off a saturated tail whenever
     the tail is not monotone.
     """
-    rmses = np.asarray(rmses, dtype=float)
-    mask = rmses >= 10.0 * gate
+    mask = _above_floor(rmses, gate)
     if mask.sum() < _KEEP_AT_LEAST:
-        mask = np.zeros(rmses.size, dtype=bool)
-        mask[: min(_KEEP_AT_LEAST, rmses.size)] = True
+        mask = np.zeros(mask.size, dtype=bool)
+        mask[:_KEEP_AT_LEAST] = True
     return mask
 
 
@@ -116,7 +129,9 @@ def _fit_sweep(values, rmses, gate, spectral) -> FitResult:
     far = used.min() + 4.0 if spectral else 4.0 * used.min()
     # plain bool, not numpy's: this flag travels into JSON manifests
     spans = bool(used.size >= 3 and used.max() >= far)
-    return FitResult(-slope, intercept, int(mask.sum()), tuple(used), residual, spans)
+    fallback = bool(_above_floor(rmses, gate).sum() < _KEEP_AT_LEAST)
+    return FitResult(-slope, intercept, int(mask.sum()), tuple(used), residual, spans,
+                     fallback)
 
 
 def fit_algebraic(values, rmses, gate=0.0) -> FitResult:
@@ -158,7 +173,7 @@ def config_fingerprint(config: RunConfig, grid: np.ndarray) -> str:
     payload.update(payload.pop("spec"))
     payload["grid"] = [float(grid[0]), float(grid[-1]), int(grid.size)]
     blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:24]
+    return sha256(blob).hexdigest()[:24]
 
 
 def _format_sig(v: float) -> str:

@@ -17,15 +17,25 @@ all cells at once.
 import numpy as np
 
 
+def legendre_rows(z, order):
+    """Yield P_0..P_order at points z, one row of z's shape at a time: the
+    one copy of the three-term recurrence, which keeps only its last two rows
+    alive, so reading a few rows costs O(z.size) memory at any order."""
+    z = np.asarray(z, dtype=float)
+    p_prev, p = np.ones(z.shape), z
+    yield p_prev
+    for k in range(1, order + 1):
+        if k > 1:
+            p_prev, p = p, ((2 * k - 1) * z * p - (k - 1) * p_prev) / k
+        yield p
+
+
 def legendre_table(z, order):
     """P_0..P_order at points z, shape (order + 1,) + z.shape."""
     z = np.asarray(z, dtype=float)
     out = np.empty((order + 1,) + z.shape)
-    out[0] = 1.0
-    if order >= 1:
-        out[1] = z
-    for k in range(2, order + 1):
-        out[k] = ((2 * k - 1) * z * out[k - 1] - (k - 1) * out[k - 2]) / k
+    for k, row in enumerate(legendre_rows(z, order)):
+        out[k] = row
     return out
 
 

@@ -139,6 +139,9 @@ def _error_norm(K, h, scale, err5, err3):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
+# an overflowing run stops on the stepper's IntegrationError alone, without
+# numpy's warnings from the stages, the norms and f on the way there
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     f: Callable,
     y0: np.ndarray,

@@ -14,6 +14,7 @@ function even in x needs its values on the nodes x > 0 only.
 
 import numpy as np
 
+from .basis import legendre_rows
 from .mesh import edge_table
 
 
@@ -93,22 +94,14 @@ def cell_moments(values, wts, bins, z, widths, sq):
     """Per-cell moments (T, K, J) of the orthonormal Legendre basis, whose
     scale factors sqrt(2j + 1) are ``sq``, from values at the nodes.
 
-    One moment at a time: the Legendre recurrence advances a moment and
-    one bincount over the (time, cell) bins reduces it, each bin summing
-    its nodes in node order, so temporaries grow with the node count
-    only.
+    One moment at a time: ``basis.legendre_rows`` yields the next
+    Legendre row and one bincount over the (time, cell) bins reduces it,
+    each bin summing its nodes in node order, so temporaries grow with the
+    node count only.
     """
     weighted = wts * values
-    order = sq.size - 1
-    out = np.empty(widths.shape + (order + 1,))
-
-    def reduce(w):
-        return np.bincount(bins, weights=w, minlength=widths.size).reshape(widths.shape)
-
-    out[..., 0] = reduce(weighted)
-    p_prev, p = 1.0, z
-    for j in range(1, order + 1):
-        if j > 1:
-            p_prev, p = p, ((2 * j - 1) * z * p - (j - 1) * p_prev) / j
-        out[..., j] = reduce(p * weighted)
-    return out * (sq / np.sqrt(widths)[..., None])
+    out = np.empty((widths.size, sq.size))
+    for j, p in enumerate(legendre_rows(z, sq.size - 1)):
+        w = p * weighted if j else weighted
+        out[:, j] = np.bincount(bins, weights=w, minlength=widths.size)
+    return out.reshape(widths.shape + (sq.size,)) * (sq / np.sqrt(widths)[..., None])

@@ -3,15 +3,17 @@
 Angle sets use Lobatto rules so the endpoint directions mu = +-1 are carried
 explicitly; projections onto the cell basis use Legendre rules.  Nodes are
 found by Newton iteration on the defining polynomial conditions, seeded with
-Chebyshev-type guesses, so no table lookup is involved.
+Chebyshev-type guesses, so no table lookup is involved.  Newton passes keep
+two rows of ``basis.legendre_rows`` at a time: an n-point rule needs O(n) memory.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import legendre_table
+from .basis import legendre_rows
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
@@ -36,7 +38,7 @@ class QuadratureSet:
 def _legendre_and_derivs(n, x):
     """P_n(x), P_n'(x), P_n''(x) for n >= 1; valid only at interior points
     |x| < 1."""
-    p, p_prev = legendre_table(x, n)[[n, n - 1]]
+    p_prev, p = deque(legendre_rows(x, n), maxlen=2)
     omx2 = 1.0 - x * x
     dp = n * (p_prev - x * p) / omx2
     d2p = (2.0 * x * dp - n * (n + 1) * p) / omx2
@@ -88,6 +90,6 @@ def gauss_lobatto(n: int) -> QuadratureSet:
     interior = np.sort(x)
     interior = 0.5 * (interior - interior[::-1])
     nodes = np.concatenate(([-1.0], interior, [1.0]))
-    p = legendre_table(nodes, m)[m]
+    (p,) = deque(legendre_rows(nodes, m), maxlen=1)
     weights = 2.0 / (n * m * p * p)
     return QuadratureSet(nodes, weights)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from snmesh.analysis import (
 )
 from snmesh.analytic import SourceSpec
 from snmesh.dgcore import RunConfig
+from snmesh.presets import config_from_settings, preset_names, preset_settings
 from snmesh.study import ConvergenceStudy, VariantRecord
 
 
@@ -85,6 +87,17 @@ class TestFits:
         assert fit.n_used == 3
         assert fit.used == (2.0, 4.0, 8.0)
 
+    @pytest.mark.parametrize("gate, fallback", [
+        (1e-4, False),  # 2, 4 and 8 clear 10x the gate
+        (1e-3, True),  # only 2 and 4 do: the leading three are kept instead
+    ])
+    def test_fallback_is_recorded(self, gate, fallback):
+        # the same points are used either way; only the flag tells them apart
+        ks = np.array([2, 4, 8, 16])
+        fit = fit_algebraic(ks, ks.astype(float) ** -3.0, gate=gate)
+        assert fit.used == (2.0, 4.0, 8.0)
+        assert fit.fallback is fallback
+
     def test_two_point_fit_does_not_span(self):
         fit = fit_algebraic([4, 8], [1e-2, 1e-3])
         assert not fit.spans_factor_four
@@ -133,6 +146,23 @@ class TestFingerprint:
         assert config_fingerprint(self.config(order=6), grid) != a
         assert config_fingerprint(self.config(t_final=2.0), grid) != a
         assert config_fingerprint(self.config(), np.linspace(-2, 2, 13)) != a
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_key_is_hashlib_sha256(self, preset, monkeypatch):
+        # the key hashes with CPython's built-in SHA-256 so that no process
+        # loads OpenSSL; the committed oracles' keys need hashlib's digest
+        import hashlib
+
+        base = config_from_settings(preset_settings(preset))
+        grid = analysis_grid(base.spec, base.t_final)
+        # half_domain is wired for the plane pulse only
+        halves = (False, True) if preset == "plane-pulse" else (False,)
+        configs = [replace(base, rtol=rtol, half_domain=half)
+                   for rtol in (5e-13, 1e-8) for half in halves]
+        keys = [config_fingerprint(c, grid) for c in configs]
+        assert len(set(keys)) == len(configs)
+        monkeypatch.setattr(analysis, "sha256", hashlib.sha256)
+        assert [config_fingerprint(c, grid) for c in configs] == keys
 
 
 class TestOracleCache:

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from snmesh.basis import legendre_table
+from snmesh.basis import legendre_rows, legendre_table
 from snmesh.quadrature import gauss_legendre
 
 from cell_matrices import (
@@ -29,6 +29,14 @@ def test_legendre_table_recurrence():
     npt.assert_allclose(
         table[4], 0.125 * (35 * z**4 - 30 * z**2 + 3), atol=1e-15
     )
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 9])
+def test_legendre_rows_stream_the_table(order):
+    z = np.linspace(-1, 1, 7)
+    rows = list(legendre_rows(z, order))
+    assert len(rows) == order + 1
+    npt.assert_array_equal(np.array(rows), legendre_table(z, order))
 
 
 @pytest.mark.parametrize("order,x_left,x_right", [

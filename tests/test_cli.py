@@ -308,6 +308,16 @@ def test_converge_manifest_records(tmp_path):
     assert record["fit"]["used"] == values == [2, 3]
 
 
+@pytest.mark.parametrize("values, fallback", [("2,3", True), ("2,3,4", False)])
+def test_converge_manifest_records_fallback(tmp_path, values, fallback):
+    # the exact MMS reference has gate 0, so every point clears the floor;
+    # a two-point sweep still has fewer than three and falls back
+    sweep = [*MMS_SWEEP[:-1], values]
+    assert main(["converge", *sweep, "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["variants"]["standard+moving"]["fit"]["fallback"] is fallback
+
+
 @pytest.mark.parametrize("sweep,values", [("cells", "0"), ("order", "-1,2")])
 def test_invalid_sweep_values_fail_before_the_oracles(tmp_path, monkeypatch,
                                                       sweep, values):
@@ -323,7 +333,7 @@ def test_invalid_sweep_values_fail_before_the_oracles(tmp_path, monkeypatch,
     assert not out.exists() and list(cache.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_integration_failure_exits_1(tmp_path, capsys):
     # c = 1e300 overflows the first stages: the stepper's IntegrationError
     # ends the run with exit 1 and one line on stderr, not a traceback

@@ -208,12 +208,12 @@ def test_stage_buffers_leave_the_caller_arrays_alone():
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate drags in sparse, linalg, optimize and more, and
     # scipy.special's package init the array-API layer, numpy.f2py and
-    # numpy.testing: import time and memory every process would pay and no
-    # solve uses
+    # numpy.testing, and hashlib OpenSSL's libcrypto: import time and memory
+    # every process would pay and no solve uses
     src = Path(snmesh.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     heavy = ("scipy.integrate", "scipy.sparse", "scipy.special",
-             "scipy._lib._array_api")
+             "scipy._lib._array_api", "hashlib", "_hashlib")
     code = (
         "import sys, snmesh.cli\n"
         f"print([m for m in {heavy!r} if m in sys.modules])"

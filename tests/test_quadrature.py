@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -101,3 +104,32 @@ def test_rules_are_cached_and_frozen():
     assert gauss_legendre(6) is a
     with pytest.raises(ValueError):
         a.nodes[0] = 0.0
+
+
+# sha256 of the nodes then the weights of gauss_legendre(1..79) and of
+# gauss_lobatto(2..139, 256, 512, 1024), as the rules stood when each Newton
+# pass built the full Legendre table; every angle set, projection rule and
+# cached oracle rests on these bytes
+RULES_SHA256 = "d633313ed6b39d13cb7835943b94633f6f462c08eb8941f53500cb2f5360d9ed"
+
+
+def test_rule_bytes_are_pinned():
+    rules = [gauss_legendre(n) for n in range(1, 80)]
+    rules += [gauss_lobatto(n) for n in (*range(2, 140), 256, 512, 1024)]
+    digest = hashlib.sha256()
+    for rule in rules:
+        digest.update(rule.nodes.tobytes())
+        digest.update(rule.weights.tobytes())
+    assert digest.hexdigest() == RULES_SHA256
+
+
+def test_large_rule_memory_is_linear():
+    # the angle set of the N = 1024 plane oracle: a full (n + 1) x n Legendre
+    # table per Newton pass peaked at 8.5 MB, two rows of 1,022 nodes take 16 kB
+    tracemalloc.start()
+    try:
+        gauss_lobatto.__wrapped__(1024)  # past the cache
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
