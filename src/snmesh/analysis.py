@@ -84,7 +84,7 @@ class FitResult:
     used: tuple
     residual: float
     spans_factor_four: bool
-    fallback: bool  # under three points cleared the floor: the leading three kept
+    fallback: bool  # the fit kept a point below the floor (10x the gate)
 
 
 def _fit(xs, log_rmses):
@@ -129,7 +129,7 @@ def _fit_sweep(values, rmses, gate, spectral) -> FitResult:
     far = used.min() + 4.0 if spectral else 4.0 * used.min()
     # plain bool, not numpy's: this flag travels into JSON manifests
     spans = bool(used.size >= 3 and used.max() >= far)
-    fallback = bool(_above_floor(rmses, gate).sum() < _KEEP_AT_LEAST)
+    fallback = bool((mask & ~_above_floor(rmses, gate)).any())
     return FitResult(-slope, intercept, int(mask.sum()), tuple(used), residual, spans,
                      fallback)
 

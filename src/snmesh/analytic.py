@@ -168,8 +168,8 @@ def phi_u_gaussian_source(x, t, sigma, t0):
 
     The kernel is even in x, and its erf bracket sums the same two terms for
     x and -x, so the integral runs once per distinct |x| and is scattered
-    back: the mirror-symmetric projection points of a symmetric mesh cost
-    half the erf evaluations.
+    back.  A projection on a mirror-symmetric mesh passes the nodes x > 0
+    alone, like every other even profile; they hold the same distinct |x|.
 
     The points are grouped by one lexsort into their distinct (time, |x|)
     pairs, and one integral runs per distinct time t > 0 over that time's

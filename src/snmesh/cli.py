@@ -20,7 +20,7 @@ from . import __version__, analytic
 from .analysis import OracleGateError, analysis_grid
 from .dgcore import MESH_MODES, SOURCE_MODES, TransportSystem
 from .integrate import IntegrationError
-from .presets import config_from_settings, preset_names, preset_settings
+from .presets import DEFAULTS, config_from_settings, preset_names, preset_settings
 from .study import VARIANTS, run_convergence, run_scalecheck
 
 # The problem parameters, one row each: config-file key, flag spellings,
@@ -85,15 +85,9 @@ def parse_config_file(path):
 
 
 def gather_settings(args):
-    """Merge preset, config file, and flags (later sources win)."""
-    if args.preset:
-        settings = preset_settings(args.preset)
-    else:
-        settings = dict(
-            c=1.0, x0=0.0, sigma=0.0, t0=0.0, amplitude=1.0,
-            angles=8, order=4, cells=4,
-            mesh_mode="moving", source_mode="uncollided", t_final=1.0,
-        )
+    """Merge preset (or the defaults), config file, and flags (later
+    sources win)."""
+    settings = preset_settings(args.preset) if args.preset else dict(DEFAULTS)
     if args.config:
         settings.update(parse_config_file(args.config))
     for key in _TYPES:
@@ -117,9 +111,7 @@ def _point_payload(point):
         "value": point.value,
         "rmse": point.rmse,
         "wall_seconds": point.wall_seconds,
-        "steps_accepted": point.steps_accepted,
-        "steps_rejected": point.steps_rejected,
-        "rhs_evaluations": point.n_rhs,
+        **_stats_payload(point.stats),
     }
 
 
@@ -187,6 +179,7 @@ def cmd_solve(args):
         variant=config.variant,
         wall_seconds=result.wall_seconds,
         integrator=_stats_payload(result.stats),
+        particles=system.phi_integral(result.state),
     )
     print("  %d rows, %.3fs solve" % (grid.size, result.wall_seconds))
     return 0

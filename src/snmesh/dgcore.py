@@ -93,8 +93,6 @@ class RunConfig:
             raise ValueError("n_angles must be an even count >= 2")
         if self.order < 0:
             raise ValueError("order must be >= 0")
-        if self.n_cells < 1:
-            raise ValueError("n_cells must be >= 1")
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
         kind = self.spec.kind
@@ -120,11 +118,6 @@ class RunConfig:
                 "source treatment: projecting the near-singular initial "
                 "condition on collapsed cells does not converge"
             )
-        if kind in _SQUARE_KINDS and self.mesh_mode == "moving":
-            if self.n_cells < 4 or self.n_cells % 4:
-                raise ValueError(
-                    "the hybrid square mesh needs n_cells divisible by 4"
-                )
         if self.half_domain and not (
             kind == "plane-pulse"
             and self.mesh_mode == "moving"
@@ -134,6 +127,8 @@ class RunConfig:
                 "half_domain is wired only for the plane-pulse uncollided "
                 "moving mesh, the one case whose cost warrants it"
             )
+        # the mesh laws state the cell-count rules
+        build_mesh(self)
         start = start_time(self)
         if self.t_final < start:
             raise ValueError(
@@ -300,10 +295,7 @@ class TransportSystem:
                 return out
             kinks = lambda t: analytic.kink_radii(spec, t, uncollided=True)
             phi_u = lambda x, t: analytic.uncollided_scalar_flux(spec, x, t)
-            # every closed form is even; the Gaussian source's quadrature
-            # already runs once per distinct |x|
-            even = spec.kind != "gaussian-source"
-            return 0.5 * spec.c * self.project_function(times, phi_u, kinks, even)
+            return 0.5 * spec.c * self.project_function(times, phi_u, kinks, True)
         if spec.kind == "mms":
             x0 = spec.x0
             even = self.project_function(

@@ -1,46 +1,33 @@
-"""Named problem presets with study-scale defaults.
+"""Named problem presets and the one table of run defaults.
 
-Each preset fixes the physical problem (kind, widths, source duration,
-scattering ratio) and the resolutions used by the convergence studies.
-Command-line flags can override any field.
+``DEFAULTS`` holds every parameter but the problem kind, as a run without a
+preset gets it.  Every preset shares the convergence studies' resolution
+and states only what differs from those two.  Command-line flags can
+override any field.
 """
 
 from .analytic import SourceSpec
 from .dgcore import RunConfig
 
-# Per-preset defaults.  "angles" is the quadrature size the studies use;
-# plane pulses need a much larger one because the uncollided wavefront
-# leaves a slowly converging angular remainder.
-PRESETS = {
-    "mms": dict(
-        kind="mms", c=1.0, x0=0.1, sigma=0.0, t0=0.0,
-        angles=32, source_mode="standard", mesh_mode="moving",
-    ),
-    "plane-pulse": dict(
-        kind="plane-pulse", c=1.0, x0=0.5, sigma=0.0, t0=0.0,
-        angles=256, source_mode="uncollided", mesh_mode="moving",
-    ),
-    "square-pulse": dict(
-        kind="square-pulse", c=1.0, x0=0.5, sigma=0.0, t0=0.0,
-        angles=64, source_mode="uncollided", mesh_mode="moving",
-    ),
-    "square-source": dict(
-        kind="square-source", c=1.0, x0=0.5, sigma=0.0, t0=5.0,
-        angles=64, source_mode="uncollided", mesh_mode="moving",
-    ),
-    "gaussian-pulse": dict(
-        kind="gaussian-pulse", c=1.0, x0=0.0, sigma=0.5, t0=0.0,
-        angles=64, source_mode="uncollided", mesh_mode="moving",
-    ),
-    "gaussian-source": dict(
-        kind="gaussian-source", c=1.0, x0=0.0, sigma=0.5, t0=5.0,
-        angles=64, source_mode="uncollided", mesh_mode="moving",
-    ),
-}
+DEFAULTS = dict(
+    c=1.0, x0=0.0, sigma=0.0, t0=0.0, amplitude=1.0,
+    angles=8, order=4, cells=4,
+    mesh_mode="moving", source_mode="uncollided", t_final=1.0,
+)
 
-DEFAULT_ORDER = 6
-DEFAULT_CELLS = 8
-DEFAULT_T_FINAL = 1.0
+_STUDY = dict(angles=64, order=6, cells=8)
+
+# "angles" is the quadrature size the studies use; plane pulses need a much
+# larger one because the uncollided wavefront leaves a slowly converging
+# angular remainder.
+PRESETS = {
+    "mms": dict(kind="mms", x0=0.1, angles=32, source_mode="standard"),
+    "plane-pulse": dict(kind="plane-pulse", x0=0.5, angles=256),
+    "square-pulse": dict(kind="square-pulse", x0=0.5),
+    "square-source": dict(kind="square-source", x0=0.5, t0=5.0),
+    "gaussian-pulse": dict(kind="gaussian-pulse", sigma=0.5),
+    "gaussian-source": dict(kind="gaussian-source", sigma=0.5, t0=5.0),
+}
 
 
 def preset_names():
@@ -48,17 +35,13 @@ def preset_names():
 
 
 def preset_settings(name: str) -> dict:
-    """Full settings dict for a preset, including resolution defaults."""
+    """Full settings dict for a preset: the defaults, the study resolution,
+    then the preset's own entries."""
     if name not in PRESETS:
         raise KeyError(
             "unknown preset %r (choose from %s)" % (name, ", ".join(PRESETS))
         )
-    settings = dict(PRESETS[name])
-    settings.setdefault("order", DEFAULT_ORDER)
-    settings.setdefault("cells", DEFAULT_CELLS)
-    settings.setdefault("t_final", DEFAULT_T_FINAL)
-    settings.setdefault("amplitude", 1.0)
-    return settings
+    return {**DEFAULTS, **_STUDY, **PRESETS[name]}
 
 
 def config_from_settings(settings: dict) -> RunConfig:

@@ -23,6 +23,7 @@ from .analysis import (
 )
 from .analytic import SourceSpec, scaled_parameters
 from .dgcore import RunConfig, TransportSystem
+from .integrate import IntegrationStats
 
 VARIANTS = (
     "standard+static",
@@ -64,9 +65,7 @@ class SweepPoint:
     n_cells: int
     rmse: float
     wall_seconds: float
-    steps_accepted: int
-    steps_rejected: int
-    n_rhs: int
+    stats: IntegrationStats
 
 
 @dataclass
@@ -101,9 +100,7 @@ def _solve_point(config: RunConfig, value, grid, phi_ref, repeats):
         n_cells=config.n_cells,
         rmse=rmse(system.scalar_flux(result.state, grid), phi_ref),
         wall_seconds=float(np.mean(walls)),
-        steps_accepted=result.stats.steps_accepted,
-        steps_rejected=result.stats.steps_rejected,
-        n_rhs=result.stats.n_rhs,
+        stats=result.stats,
     )
 
 

@@ -98,6 +98,15 @@ class TestFits:
         assert fit.used == (2.0, 4.0, 8.0)
         assert fit.fallback is fallback
 
+    @pytest.mark.parametrize("rmses, fallback", [
+        ((1e-2, 1e-3), False),  # both clear 10x the gate
+        ((1e-2, 1e-9), True),  # 4 does not, and the fit keeps it
+    ])
+    def test_two_point_fallback_follows_the_floor(self, rmses, fallback):
+        fit = fit_algebraic([2, 4], rmses, gate=1e-8)
+        assert fit.used == (2.0, 4.0)
+        assert fit.fallback is fallback
+
     def test_two_point_fit_does_not_span(self):
         fit = fit_algebraic([4, 8], [1e-2, 1e-3])
         assert not fit.spans_factor_four

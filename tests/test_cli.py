@@ -56,6 +56,14 @@ class TestSolve:
         assert manifest["integrator"]["steps_accepted"] > 0
         assert manifest["outputs"]["solution_csv"] == "solution.csv"
 
+    def test_manifest_counts_the_particles(self, tmp_path):
+        # at c = 1 a Gaussian pulse keeps its sigma sqrt(pi) particles
+        rc = main(["solve", "--preset", "gaussian-pulse", "--N", "8", "--M", "3",
+                   "--K", "4", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["particles"] == pytest.approx(0.5 * np.sqrt(np.pi), rel=1e-8)
+
     def test_output_is_deterministic(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -91,6 +99,17 @@ class TestSettingsPrecedence:
             "mms", "plane-pulse", "square-pulse", "square-source",
             "gaussian-pulse", "gaussian-source",
         }
+
+    def test_settings_without_a_preset(self):
+        # every parameter but the kind comes from presets.DEFAULTS
+        args = build_parser().parse_args(["solve", "--kind", "square-pulse", "--x0", "0.5"])
+        expected = dict(
+            kind="square-pulse", c=1.0, x0=0.5, sigma=0.0, t0=0.0, amplitude=1.0,
+            angles=8, order=4, cells=4,
+            mesh_mode="moving", source_mode="uncollided", t_final=1.0,
+        )
+        assert json.dumps(gather_settings(args), sort_keys=True) == json.dumps(
+            expected, sort_keys=True)
 
     def test_flags_override_preset(self, tmp_path):
         rc = main([
@@ -308,10 +327,10 @@ def test_converge_manifest_records(tmp_path):
     assert record["fit"]["used"] == values == [2, 3]
 
 
-@pytest.mark.parametrize("values, fallback", [("2,3", True), ("2,3,4", False)])
+@pytest.mark.parametrize("values, fallback", [("2,3", False), ("2,3,4", False)])
 def test_converge_manifest_records_fallback(tmp_path, values, fallback):
-    # the exact MMS reference has gate 0, so every point clears the floor;
-    # a two-point sweep still has fewer than three and falls back
+    # the exact MMS reference has gate 0, so every point clears the floor
+    # and no fit keeps a point below it, however few points there are
     sweep = [*MMS_SWEEP[:-1], values]
     assert main(["converge", *sweep, "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())

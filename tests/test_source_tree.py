@@ -1,11 +1,16 @@
-"""Static checks on the package source: no dead private names."""
+"""Checks on the package source: no dead private names, and every name
+the benchmark's tracer patches exists."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import snmesh
 
 PACKAGE = Path(snmesh.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _private_definitions(tree):
@@ -42,3 +47,22 @@ def test_every_private_module_name_is_read():
     dead = [f"{module}:{name}" for module, tree in trees.items()
             for name in _private_definitions(tree) if name not in used]
     assert dead == [], "module-level private names nothing reads: %s" % dead
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/tracing.py wraps snmesh attributes by name; a renamed one
+    # raises AttributeError in install.  A fresh process, since install
+    # patches the modules it imports, and -B, so it leaves no bytecode
+    stub = (
+        "import sys; sys.path.insert(0, 'perfbench')\n"
+        "import tracing\n"
+        "from snmesh import cli\n"
+        "class Stub:\n"
+        "    def wrap(self, name, fn, describe=None):\n"
+        "        return fn\n"
+        "assert tracing.install(Stub()) is cli.main\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-B", "-c", stub], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -75,7 +75,7 @@ class TestConvergenceDriver:
         assert static.fit is not None and moving.fit is not None
         assert out.improvement_over_baseline("uncollided+moving") > 0
         for p in static.points:
-            assert p.rmse > 0 and p.wall_seconds > 0 and p.steps_accepted > 0
+            assert p.rmse > 0 and p.wall_seconds > 0 and p.stats.steps_accepted > 0
 
     def test_single_point_leaves_fit_empty(self, monkeypatch):
         stub_reference(monkeypatch)
