@@ -219,8 +219,7 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
             return data[:, 1]
     system = TransportSystem(config)
     result = system.solve()
-    pts = np.abs(grid) if config.half_domain else grid
-    phi = system.scalar_flux(result.state, pts)
+    phi = system.scalar_flux(result.state, grid)
     # every oracle runs in uncollided mode
     phi_u = analytic.uncollided_scalar_flux(config.spec, grid, config.t_final)
     meta = {

@@ -4,14 +4,15 @@ and the scattering-ratio scaling transform.
 All spatial profiles are even in x and use mean-free-path units (unit total
 cross section, unit wave speed).  The scalar fluxes and sources see x only
 through |x| or x * x, so they are even bit for bit: a projection on a
-mirror-symmetric mesh evaluates them on the nodes x >= 0 alone.  Support indicators are closed: a point on a
-wavefront gets the limit from inside, which keeps grid comparisons against
-reconstructed cell traces well defined.
+mirror-symmetric mesh evaluates them on the nodes x >= 0 alone.  Support
+indicators are closed: a point on a wavefront gets the limit from inside,
+which keeps grid comparisons against reconstructed cell traces well
+defined.
 
 The fluxes and sources take t as a scalar or as an array that broadcasts
 with x, so one call covers points at several times.  Each element goes
-through the same floating-point operations either way, so a batched value
-equals the one-time value bit for bit.
+through the same floating-point operations whatever else the batch holds,
+so every profile gives a point the bits of a call at that point alone.
 """
 
 from dataclasses import dataclass, replace
@@ -156,96 +157,48 @@ def phi_u_square_source(x, t, x0, t0):
     return np.where(d > 0.0, term_inner + term_mid + term_outer, 0.0)
 
 
+_EMISSION_NODES = 21  # Gauss-Legendre nodes per emission-time panel
+_EMISSION_PANEL = 1.0  # longest panel, in mean free times
+
+
 def phi_u_gaussian_source(x, t, sigma, t0):
     """Uncollided flux of a Gaussian source active for t <= t0.
 
-    Time convolution of the Gaussian-pulse kernel over emission times tau,
-    integrated by adaptive panel bisection with an embedded Gauss pair.  Each
-    panel makes one kernel evaluation: every node of both rules at once,
-    broadcast as elapsed times s = t - tau against the points.  The kernel's
-    tau -> t endpoint is finite (the pulse's small-time limit, taken where
-    s < 1e-12), so no endpoint treatment is needed.
+    Time convolution of the Gaussian-pulse kernel over the emission window
+    w = max(min(t, t0), 0), on a fixed composite Gauss-Legendre rule: with
+    L = min(_EMISSION_PANEL, 2 sigma), panel k covers [min(k L, w),
+    min((k + 1) L, w)] for every k below the batch's largest w / L, with
+    _EMISSION_NODES nodes each.  The kernel's erf bracket turns over a width
+    of about sigma near s = |x| and its e^-s over one mean free time, so a
+    panel spans at most two of either.  The kernel's tau -> t endpoint is
+    finite (the pulse's small-time limit, taken where s < 1e-12), so no
+    endpoint treatment is needed.
 
-    The kernel is even in x, and its erf bracket sums the same two terms for
-    x and -x, so the integral runs once per distinct |x| and is scattered
-    back.  A projection on a mirror-symmetric mesh passes the nodes x > 0
-    alone, like every other even profile; they hold the same distinct |x|.
-
-    The points are grouped by one lexsort into their distinct (time, |x|)
-    pairs, and one integral runs per distinct time t > 0 over that time's
-    distinct |x|, in ascending order: the panels stop on the largest error
-    over all points of one integral, so the points of one time are
-    integrated together, as in a call at that time alone.
-    """
-    arr, times = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-    )
-    ax, times = np.abs(arr).ravel(), times.ravel()
-    perm = np.lexsort((ax, times))
-    ax, times = ax[perm], times[perm]
-    first = np.ones(ax.size, dtype=bool)
-    first[1:] = (ax[1:] != ax[:-1]) | (times[1:] != times[:-1])
-    ax, times = ax[first], times[first]
-    values = np.zeros(ax.size)
-    breaks = np.flatnonzero(times[1:] != times[:-1]) + 1
-    for lo, hi in zip([0, *breaks], [*breaks, ax.size]):
-        if hi > lo and times[lo] > 0:
-            values[lo:hi] = _gaussian_source_integral(
-                ax[lo:hi], times[lo], sigma, t0
-            )
-    out = np.empty(arr.size)
-    out[perm] = values[np.cumsum(first) - 1]
-    return out.reshape(arr.shape) if arr.ndim else float(out[0])
-
-
-def _gaussian_source_integral(ax, t, sigma, t0):
-    """The emission-time integral at one time t > 0 for the distinct
-    |x| in ``ax``."""
-    limit = np.exp(-(ax * ax) / (sigma * sigma))
-
-    def kernel(tau):
-        s = (t - tau)[:, None]
-        small = s < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            spread = _gaussian_pulse_spread(ax, s, sigma)
-        return np.where(small, limit, spread)
-
-    return _adaptive_panels(kernel, 0.0, min(t, t0), ax.shape)
-
-
-_GL_LO = 10
-_GL_HI = 21
-_PANEL_TOL = 1e-12  # coarse-fine gap, relative to max(1, |integral|)
-_PANEL_MAX_DEPTH = 48
-
-
-def _adaptive_panels(kernel, a, b, shape):
-    """Integrate a vector-valued kernel over [a, b] by panel bisection.
-
-    ``kernel`` maps a node vector of shape (n,) to values of shape
-    (n,) + shape; one call per panel covers the coarse and the fine rule.
+    The rule runs one node at a time over every point, adding in node
+    order, so each value depends on its own (|x|, t) alone: a panel past a
+    point's window has zero length and adds exact zeros.
     """
     from .quadrature import gauss_legendre
 
-    lo, hi = gauss_legendre(_GL_LO), gauss_legendre(_GL_HI)
-    nodes = np.concatenate([lo.nodes, hi.nodes])
-    total = np.zeros(shape)
-    stack = [(a, b, 0)]
-    while stack:
-        left, right, depth = stack.pop()
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        values = kernel(mid + half * nodes)
-        coarse = half * np.dot(lo.weights, values[:_GL_LO])
-        fine = half * np.dot(hi.weights, values[_GL_LO:])
-        err = np.max(np.abs(fine - coarse))
-        scale = max(1.0, np.max(np.abs(fine)))
-        if err <= _PANEL_TOL * scale or depth >= _PANEL_MAX_DEPTH:
-            total = total + fine
-        else:
-            stack.append((left, mid, depth + 1))
-            stack.append((mid, right, depth + 1))
-    return total
+    ax, t = np.broadcast_arrays(np.abs(np.asarray(x, dtype=float)),
+                                np.asarray(t, dtype=float))
+    w = np.maximum(np.minimum(t, t0), 0.0)
+    limit = np.exp(-(ax * ax) / (sigma * sigma))
+    rule = gauss_legendre(_EMISSION_NODES)
+    length = min(_EMISSION_PANEL, 2.0 * sigma)
+    total = np.zeros(ax.shape)
+    for k in range(int(np.ceil(w.max(initial=0.0) / length))):
+        lo = np.minimum(k * length, w)
+        hi = np.minimum((k + 1) * length, w)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        acc = np.zeros(ax.shape)
+        for node, weight in zip(rule.nodes, rule.weights):
+            s = t - (mid + half * node)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                spread = _gaussian_pulse_spread(ax, s, sigma)
+            acc += weight * np.where(s < 1e-12, limit, spread)
+        total += half * acc
+    return total if total.ndim else float(total)
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,8 @@ class RunConfig:
     t_final: float = 1.0
     rtol: float = 5e-13
     atol: float = 1e-12
-    # Solve the reflection-symmetric right half [0, R(t)] with a mirror
-    # boundary at the origin; n_cells then counts half-domain cells, so the
-    # resolution matches a 2*n_cells full solve at half the cost.
+    # Solve the right half [0, R(t)] with a mirror boundary at the origin;
+    # n_cells counts half cells, the resolution of a 2*n_cells full solve.
     half_domain: bool = False
 
     def __post_init__(self):
@@ -485,10 +484,10 @@ class TransportSystem:
         return np.tensordot(self.weights, state.coeffs, axes=(0, 0))
 
     def scalar_flux(self, state: SolutionState, points):
-        """Scalar flux at the given points (edge hits read the left cell),
-        the analytic uncollided part included in uncollided mode."""
+        """Scalar flux at the points, at |x| in a half-domain solve (edge hits read
+        the left cell), with the analytic uncollided part in uncollided mode."""
         edges, widths = self.mesh_at(state.t)
-        pts = np.asarray(points, dtype=float)
+        pts = np.asarray(np.abs(points) if self._reflect_left else points, dtype=float)
         slack = 1e-12 * max(1.0, edges[-1] - edges[0])
         if np.any(pts < edges[0] - slack) or np.any(pts > edges[-1] + slack):
             raise ValueError("evaluation point outside the mesh")
@@ -507,10 +506,11 @@ class TransportSystem:
         return phi
 
     def phi_integral(self, state: SolutionState) -> float:
-        """integral(phi) dx over the slab, exact per cell via mean moments."""
+        """integral(phi) dx over the whole slab, a half-domain solve's mirror
+        half included, exact per cell via mean moments."""
         _, widths = self.mesh_at(state.t)
         mom0 = self.phi_moments(state)[:, 0]
-        total = float(np.sum(mom0 * np.sqrt(widths)))
+        total = (1 + self._reflect_left) * float(np.sum(mom0 * np.sqrt(widths)))
         if self._uncollided:
             total += float(analytic.uncollided_integral(self.spec, state.t))
         return total

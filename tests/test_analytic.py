@@ -5,8 +5,9 @@ shares no code with it: scipy.integrate.quad applied to the raw emission
 profile (line integral for pulses, emission-time convolution for sources),
 plus a hand-rolled exponential-integral implementation.  Spot values frozen
 from those oracles pin the functions against silent regressions.  The
-Gaussian-source and square-source evaluations are also checked bit for bit
-against the code they replaced, kept here as references.
+square-source evaluation is also checked bit for bit against the code it
+replaced, and the Gaussian source to 1e-15 against the adaptive rule it
+replaced; both references are kept here.
 """
 
 import numpy as np
@@ -91,7 +92,8 @@ class TestFrozenValues:
 
 
 class TestQuadOracles:
-    """Live dual-route comparison, closed form vs scipy.quad, to 1e-8."""
+    """Live dual-route comparison, closed form vs scipy.quad, to 1e-8 (to
+    1e-12 for the narrow Gaussian sources, whose oracle runs tighter)."""
 
     @pytest.mark.parametrize("x", [0.0, 0.2, 0.45, 0.55, 0.9, 1.3, 1.49])
     @pytest.mark.parametrize("t", [0.15, 1.0])
@@ -131,10 +133,34 @@ class TestQuadOracles:
         want, _ = quad(kern, 0.0, min(t, T0), limit=400)
         assert float(an.phi_u_gaussian_source(x, t, SIGMA, T0)) == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize("sigma", [0.1, 0.05])
+    @pytest.mark.parametrize("x,t", [(0.0, 0.4), (0.0, 1.0), (0.05, 1.0), (0.3, 1.0),
+                                     (0.7, 1.0), (1.0, 6.0), (2.5, 3.0)])
+    def test_narrow_gaussian_source(self, sigma, x, t):
+        # the kernel's erf bracket turns over a width of about sigma, so the
+        # emission-time panels must shrink with sigma; tight quad tolerances
+        # and breakpoints at the turn keep the oracle near rounding
+        def profile(s):
+            return np.exp(-s * s / (sigma * sigma))
+
+        def kern(tau):
+            elapsed = t - tau
+            if elapsed <= 0:
+                return float(profile(x))
+            inner = [p for p in (-sigma, 0.0, sigma) if x - elapsed < p < x + elapsed]
+            val, _ = quad(profile, x - elapsed, x + elapsed, points=inner or None,
+                          limit=200, epsabs=1e-15, epsrel=1e-13)
+            return np.exp(-elapsed) * val / (2.0 * elapsed)
+
+        w = min(t, T0)
+        pts = [p for p in (t - abs(x) - sigma, t - abs(x), t - abs(x) + sigma) if 0 < p < w]
+        want, _ = quad(kern, 0.0, w, points=pts or None, limit=400, epsabs=1e-15, epsrel=1e-13)
+        assert float(an.phi_u_gaussian_source(x, t, sigma, T0)) == pytest.approx(want, abs=1e-12)
+
 
 class TestGaussianSourceArrays:
-    """The array path (one integral per distinct |x|, nodes broadcast) must
-    agree with per-point calls and keep the flux's evenness and shape."""
+    """The array path (each node broadcast over every point) must give the
+    bits of per-point calls and keep the flux's evenness and shape."""
 
     # mixed signs, repeated |x|, points beyond the support, 2-D shape
     X = np.array([[-2.5, -0.7, -0.3, 0.0, 0.3, 0.7],
@@ -146,23 +172,42 @@ class TestGaussianSourceArrays:
         assert got.shape == self.X.shape
         want = np.array([[an.phi_u_gaussian_source(v, t, SIGMA, T0) for v in row]
                          for row in self.X])
-        # the panels stop on the largest error over all points, against an
-        # absolute target of 1e-12; a value far under it (x = 9 after the
-        # cutoff, ~4e-18) may sit on other panels alone than in the array
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 31, 128, 500])
+    def test_shuffled_mixed_batch_equals_pointwise_calls(self, size):
+        # times before the source starts, under the small-time cut-off,
+        # inside the emission window and after it, shuffled so that every
+        # point shares its call with points of other times
+        rng = np.random.default_rng(size)
+        times = np.array([-0.5, 0.0, 1e-13, 0.05, 0.4, 1.0, 2.5, T0, 6.5, 9.0])
+        t = rng.permutation(np.resize(times, size))
+        x = rng.uniform(-12.0, 12.0, size)
+        got = an.phi_u_gaussian_source(x, t, SIGMA, T0)
+        want = np.array([an.phi_u_gaussian_source(xv, tv, SIGMA, T0)
+                         for xv, tv in zip(x, t)])
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("t", [1e-13, 0.4, 2.0, T0 + 1.5])
     def test_matches_node_loop_reference(self, t):
-        # the pulse kernel evaluated one emission time at a time, on every
-        # point, through the same panel rule
-        x = self.X.ravel()
-
-        def loop_kernel(tau):
-            return np.stack([an.phi_u_gaussian_pulse(x, t - tv, SIGMA) for tv in tau])
-
-        want = an._adaptive_panels(loop_kernel, 0.0, min(t, T0), x.shape)
+        # the pulse kernel evaluated one point and one emission time at a
+        # time, over the same panels and nodes
+        rule = gauss_legendre(an._EMISSION_NODES)
+        w = min(t, T0)
+        length = min(an._EMISSION_PANEL, 2.0 * SIGMA)
+        n_panels = int(np.ceil(w / length))
+        edges = np.minimum(np.arange(n_panels + 1) * length, w)
+        want = []
+        for xv in self.X.ravel():
+            total = 0.0
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                total += half * sum(
+                    wt * float(an.phi_u_gaussian_pulse(xv, t - (mid + half * nd), SIGMA))
+                    for nd, wt in zip(rule.nodes, rule.weights))
+            want.append(total)
         got = an.phi_u_gaussian_source(self.X, t, SIGMA, T0)
-        np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("t", [1e-13, 0.4, 2.0, T0 + 1.5])
     def test_exactly_even(self, t):
@@ -218,10 +263,9 @@ class TestTimeArrays:
         np.testing.assert_array_equal(got, want)
 
     def test_gaussian_source_flat_batch_equals_per_time_calls(self):
-        # flat points grouped by time, as the projection passes them: each
-        # time's points share one adaptive integral, as in a call alone.
-        # The panels stop on the largest error over a call's points, so the
-        # lone far point at t = 6.5 (~4e-18) moves if other points join it
+        # flat points grouped by time, as the projection passes them; the
+        # lone far point at t = 6.5 (~4e-18) shares its call with larger
+        # values at other times
         groups = [(6.5, np.array([9.0])), (0.3, self.X), (1.7, self.X[::3] + 0.1)]
         x = np.concatenate([pts for _, pts in groups])
         times = np.concatenate([np.full(pts.size, t) for t, pts in groups])
@@ -251,9 +295,10 @@ class TestTimeArrays:
 
 
 def parent_gaussian_source(x, t, sigma, t0, tol=1e-12):
-    """phi_u_gaussian_source as it was before the batch was grouped by one
-    lexsort: a mask and a np.unique per time, and tensordot panel sums.  The
-    grouped evaluation must equal it bit for bit."""
+    """phi_u_gaussian_source on the adaptive rule the fixed rule replaced:
+    panel bisection on an embedded 10/21-node Gauss pair that stops on the
+    largest error over one time's distinct |x|, with tensordot panel sums.
+    The fixed rule must agree with it to 1e-15 absolute."""
     arr = np.asarray(x, dtype=float)
     if np.ndim(t):
         arr, times = np.broadcast_arrays(arr, np.asarray(t, dtype=float))
@@ -273,7 +318,7 @@ def parent_gaussian_source(x, t, sigma, t0, tol=1e-12):
             spread = an._gaussian_pulse_spread(ax, s, sigma)
         return np.where(s < 1e-12, limit, spread)
 
-    lo, hi = gauss_legendre(an._GL_LO), gauss_legendre(an._GL_HI)
+    lo, hi = gauss_legendre(10), gauss_legendre(21)
     nodes = np.concatenate([lo.nodes, hi.nodes])
     total = np.zeros(ax.shape)
     stack = [(0.0, min(t, t0), 0)]
@@ -282,8 +327,8 @@ def parent_gaussian_source(x, t, sigma, t0, tol=1e-12):
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
         values = kernel(mid + half * nodes)
-        coarse = half * np.tensordot(lo.weights, values[:an._GL_LO], axes=(0, 0))
-        fine = half * np.tensordot(hi.weights, values[an._GL_LO:], axes=(0, 0))
+        coarse = half * np.tensordot(lo.weights, values[:10], axes=(0, 0))
+        fine = half * np.tensordot(hi.weights, values[10:], axes=(0, 0))
         err = np.max(np.abs(fine - coarse))
         scale = max(1.0, np.max(np.abs(fine)))
         if err <= tol * scale or depth >= 48:
@@ -317,12 +362,13 @@ def parent_square_source(x, t, x0, t0):
 
 
 class TestParentBits:
-    """The grouped Gaussian-source batch and the masked Ei calls of the
-    square source give the bits of the code they replaced."""
+    """The fixed-rule Gaussian source agrees with the adaptive rule it
+    replaced to 1e-15 absolute, and the masked Ei calls of the square source
+    give the bits of the code they replaced."""
 
     # t = 1e-13 sits under the kernel's small-time cut-off, t0 at the
     # cut-off, 6.5 and 9 after it, where far points carry values far under
-    # the panels' absolute target
+    # the adaptive panels' absolute target
     TIMES = (1e-13, 0.4, T0, 6.5, 9.0)
 
     @pytest.mark.parametrize("n_distinct", [1, 3, 7, 121, 240])
@@ -332,27 +378,30 @@ class TestParentBits:
         ax[0] = 11.5  # a far point in every batch
         x = np.concatenate([ax, -ax[::2]])  # mirrored and repeated |x|
         for t in self.TIMES:
-            np.testing.assert_array_equal(an.phi_u_gaussian_source(x, t, SIGMA, T0),
-                                          parent_gaussian_source(x, t, SIGMA, T0))
+            np.testing.assert_allclose(an.phi_u_gaussian_source(x, t, SIGMA, T0),
+                                       parent_gaussian_source(x, t, SIGMA, T0),
+                                       atol=1e-15, rtol=0)
         # a flat batch grouped by time, as the projection passes it, and the
         # same batch shuffled, with t = 0 and t < 0 among the times
         times = (*self.TIMES, 0.0, -0.5)
         node_x = np.tile(x, len(times))
         node_t = np.repeat(times, x.size)
         want = parent_gaussian_source(node_x, node_t, SIGMA, T0)
-        np.testing.assert_array_equal(an.phi_u_gaussian_source(node_x, node_t, SIGMA, T0),
-                                      want)
+        np.testing.assert_allclose(an.phi_u_gaussian_source(node_x, node_t, SIGMA, T0),
+                                   want, atol=1e-15, rtol=0)
         perm = rng.permutation(node_x.size)
-        np.testing.assert_array_equal(
-            an.phi_u_gaussian_source(node_x[perm], node_t[perm], SIGMA, T0), want[perm])
+        np.testing.assert_allclose(
+            an.phi_u_gaussian_source(node_x[perm], node_t[perm], SIGMA, T0), want[perm],
+            atol=1e-15, rtol=0)
 
     def test_gaussian_source_2d_broadcast_equals_parent_loop(self):
         x = np.linspace(-9.5, 9.5, 39)
         times = np.array(self.TIMES)[:, None]
         got = an.phi_u_gaussian_source(x[None, :], times, SIGMA, T0)
         assert got.shape == (times.size, x.size)
-        np.testing.assert_array_equal(got, parent_gaussian_source(x[None, :], times,
-                                                                  SIGMA, T0))
+        np.testing.assert_allclose(got, parent_gaussian_source(x[None, :], times,
+                                                               SIGMA, T0),
+                                   atol=1e-15, rtol=0)
 
     def test_square_source_equals_parent_on_a_dense_grid(self):
         # every branch of the Ei mask: b and cc at 0, inside (0, t) and at
