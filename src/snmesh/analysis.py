@@ -213,8 +213,11 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
     key = config_fingerprint(config, grid)
     path = cache_dir / f"oracle-{key}.csv"
     if path.exists():
-        # a file whose header names another config is a miss, not a hit
-        meta, data = _read_oracle_file(path)
+        # a file that names another config, or fails to parse, is a miss
+        try:
+            meta, data = _read_oracle_file(path)
+        except ValueError:
+            meta, data = {}, None
         if meta.get("fingerprint") == key and data.shape == (grid.size, 4):
             return data[:, 1]
     system = TransportSystem(config)

@@ -1,10 +1,9 @@
 """Command-line driver.
 
 Subcommands: ``solve`` (one run, solution CSV), ``converge`` (resolution
-sweeps over the method variants), ``scalecheck`` (scattering-ratio scaling
-identity) and ``bench`` (a timed ``converge``: one variant, each point solved
-``--repeats`` times).  ``converge`` and ``bench`` share one sweep, and every
-command writes its CSV and a JSON manifest next to it through one writer.
+sweeps over the method variants, each point timed in the manifest) and
+``scalecheck`` (scattering-ratio scaling identity).  Every command writes its
+CSV and a JSON manifest next to it through one writer.
 Parameter precedence: preset, then config file, then command-line flags.
 """
 
@@ -106,15 +105,6 @@ def _uncollided_column(spec, grid, t):
     return analytic.uncollided_scalar_flux(spec, grid, t)
 
 
-def _point_payload(point):
-    return {
-        "value": point.value,
-        "rmse": point.rmse,
-        "wall_seconds": point.wall_seconds,
-        **_stats_payload(point.stats),
-    }
-
-
 def _stats_payload(stats):
     return {
         "steps_accepted": stats.steps_accepted,
@@ -138,27 +128,6 @@ def _write_outputs(args, settings, csv_name, header, rows, **fields):
         **fields,
     })
     print("wrote %s and %s" % (csv_path, manifest))
-
-
-def _run_sweep(args, settings, variants, repeats=1):
-    """The study the sweep flags ask for (``--values`` defaults to cells
-    2,4,8,16 or orders 2,4,6,8), and its manifest fields."""
-    if args.values is not None:
-        values = tuple(args.values)
-    else:
-        values = (2, 4, 8, 16) if args.sweep == "cells" else (2, 4, 6, 8)
-    fixed = settings["order"] if args.sweep == "cells" else settings["cells"]
-    study = run_convergence(
-        config_from_settings(settings).spec,
-        sweep=args.sweep,
-        values=values,
-        fixed=fixed,
-        n_angles=settings["angles"],
-        t_final=settings["t_final"],
-        variants=variants,
-        repeats=repeats,
-    )
-    return study, {"sweep": args.sweep, "values": list(values), "fixed": fixed}
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +157,20 @@ def cmd_solve(args):
 def cmd_converge(args):
     settings = gather_settings(args)
     variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
-    study, sweep = _run_sweep(args, settings, variants)
+    if args.values is not None:
+        values = tuple(args.values)
+    else:
+        values = (2, 4, 8, 16) if args.sweep == "cells" else (2, 4, 6, 8)
+    fixed = settings["order"] if args.sweep == "cells" else settings["cells"]
+    study = run_convergence(
+        config_from_settings(settings).spec,
+        sweep=args.sweep,
+        values=values,
+        fixed=fixed,
+        n_angles=settings["angles"],
+        t_final=settings["t_final"],
+        variants=variants,
+    )
     rows = []
     per_variant = {}
     for variant, record in study.records.items():
@@ -208,7 +190,11 @@ def cmd_converge(args):
             "improvement_over_baseline": study.improvement_over_baseline(
                 variant
             ),
-            "points": [_point_payload(point) for point in record.points],
+            "points": [
+                {"value": p.value, "rmse": p.rmse, "wall_seconds": p.wall_seconds,
+                 **_stats_payload(p.stats)}
+                for p in record.points
+            ],
         }
     _write_outputs(
         args, settings, "convergence.csv",
@@ -218,7 +204,9 @@ def cmd_converge(args):
             k: v for k, v in asdict(study.reference).items() if k != "phi"
         },
         variants=per_variant,
-        **sweep,
+        sweep=args.sweep,
+        values=list(values),
+        fixed=fixed,
     )
     for variant, record in study.records.items():
         if record.fit:
@@ -257,23 +245,6 @@ def cmd_scalecheck(args):
     return 0
 
 
-def cmd_bench(args):
-    settings = gather_settings(args)
-    variant = args.variant or "uncollided+moving"
-    study, sweep = _run_sweep(args, settings, (variant,), repeats=args.repeats)
-    # the manufactured problem runs standard+moving whatever was asked
-    ((variant, record),) = study.records.items()
-    _write_outputs(
-        args, settings, "timing.csv", ("variant", "M", "K", "mean_seconds", "rmse"),
-        [(variant, p.order, p.n_cells, p.wall_seconds, p.rmse) for p in record.points],
-        variant=variant,
-        repeats=args.repeats,
-        points=[_point_payload(point) for point in record.points],
-        **sweep,
-    )
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument plumbing.
 
@@ -291,16 +262,6 @@ def _add_parameter_flags(parser):
                             **{"choices" if listed else "help": extra})
 
 
-def _add_sweep_flags(parser):
-    parser.add_argument("--sweep", choices=("cells", "order"),
-                        default="cells", help="which resolution to sweep")
-    parser.add_argument(
-        "--values",
-        type=lambda s: [int(tok) for tok in s.split(",") if tok],
-        help="comma-separated sweep values",
-    )
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="snmesh",
@@ -315,7 +276,13 @@ def build_parser():
 
     p_conv = sub.add_parser("converge", help="resolution sweep per variant")
     _add_parameter_flags(p_conv)
-    _add_sweep_flags(p_conv)
+    p_conv.add_argument("--sweep", choices=("cells", "order"),
+                        default="cells", help="which resolution to sweep")
+    p_conv.add_argument(
+        "--values",
+        type=lambda s: [int(tok) for tok in s.split(",") if tok],
+        help="comma-separated sweep values",
+    )
     p_conv.add_argument("--variants",
                         help="comma-separated subset of %s" % (",".join(VARIANTS)))
     p_conv.set_defaults(func=cmd_converge)
@@ -327,13 +294,6 @@ def build_parser():
     p_scale.add_argument("--variant", help="method variant, default uncollided+moving")
     p_scale.set_defaults(func=cmd_scalecheck)
 
-    p_bench = sub.add_parser("bench", help="timed converge of one variant")
-    _add_parameter_flags(p_bench)
-    _add_sweep_flags(p_bench)
-    p_bench.add_argument("--variant", help="method variant, default uncollided+moving")
-    p_bench.add_argument("--repeats", type=int, default=5,
-                         help="timed runs per sweep point (>= 1)")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

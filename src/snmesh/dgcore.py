@@ -284,9 +284,9 @@ class TransportSystem:
         spec = self.spec
         if self._uncollided:
             if spec.kind == "plane-pulse" and self.config.mesh_mode == "moving":
-                # The expanding mesh stays inside the pulse's light cone where
-                # the uncollided flux is spatially constant: only the mean
-                # moment survives and it has a closed form.
+                # Closed form: plateau e^-t/(2t), mean moment only.  The outer edges
+                # sit PLANE_EPS_X0 past |x| = t, where phi_u ends, so the mass is
+                # (1 + 1e-10/t) times too high and outer cells lose higher moments.
                 _, widths = edge_table(self.mesh, times)
                 out = np.zeros(widths.shape + (self.config.order + 1,))
                 plateau = spec.amplitude * np.exp(-times) / (2.0 * times)

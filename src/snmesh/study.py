@@ -1,10 +1,8 @@
 """Sweep drivers: convergence studies and the scaling identity check.  These
 produce plain records that the command line serializes.
 
-``run_convergence`` holds the one sweep loop.  A timing benchmark is the same
-sweep with ``repeats > 1``: each point is solved that many times on fresh
-systems and its ``wall_seconds`` is the mean; the runs are identical bit for
-bit, so the error and step counts come from any one of them.
+``run_convergence`` holds the one sweep loop; each point is one solve, and
+its record keeps that solve's error, wall time and step counts.
 """
 
 from dataclasses import dataclass, replace
@@ -61,8 +59,6 @@ def variant_feasible(spec: SourceSpec, variant: str, n_cells: int) -> bool:
 @dataclass
 class SweepPoint:
     value: int  # the swept resolution (cells or order)
-    order: int
-    n_cells: int
     rmse: float
     wall_seconds: float
     stats: IntegrationStats
@@ -88,18 +84,13 @@ class ConvergenceStudy:
         return base.fit.intercept / cand.fit.intercept
 
 
-def _solve_point(config: RunConfig, value, grid, phi_ref, repeats):
-    walls = []
-    for _ in range(repeats):
-        system = TransportSystem(config)
-        result = system.solve()
-        walls.append(result.wall_seconds)
+def _solve_point(config: RunConfig, value, grid, phi_ref):
+    system = TransportSystem(config)
+    result = system.solve()
     return SweepPoint(
         value=value,
-        order=config.order,
-        n_cells=config.n_cells,
         rmse=rmse(system.scalar_flux(result.state, grid), phi_ref),
-        wall_seconds=float(np.mean(walls)),
+        wall_seconds=result.wall_seconds,
         stats=result.stats,
     )
 
@@ -113,16 +104,12 @@ def run_convergence(
     t_final: float,
     variants=VARIANTS,
     cache_dir=None,
-    repeats=1,
 ) -> ConvergenceStudy:
     """Resolution sweep (over cells at fixed order, or over order at fixed
-    cells) for each requested method variant against one shared reference;
-    each point is solved ``repeats`` times and timed by the mean.  The
-    manufactured problem runs ``standard+moving`` only."""
+    cells) for each requested method variant against one shared reference.
+    The manufactured problem runs ``standard+moving`` only."""
     if sweep not in ("cells", "order"):
         raise ValueError("sweep must be 'cells' or 'order'")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
     for variant in variants:
         split_variant(variant)
     if spec.kind == "mms":
@@ -156,7 +143,7 @@ def run_convergence(
                 source_mode=source_mode,
                 t_final=t_final,
             )
-            points.append(_solve_point(config, value, grid, ref.phi, repeats))
+            points.append(_solve_point(config, value, grid, ref.phi))
         fit = None
         if len(points) >= 2:
             vals = [p.value for p in points]

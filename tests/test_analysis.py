@@ -215,11 +215,14 @@ class TestOracleCache:
             reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
                                study_angles=4, cache_dir=tmp_path)
 
-    def test_mismatched_fingerprint_is_a_miss(self, tmp_path):
+    def tiny_oracle(self):
         config = RunConfig(spec=self.SPEC, n_angles=2, order=1, n_cells=2,
                            mesh_mode="moving", source_mode="uncollided",
                            t_final=0.5, rtol=1e-8, atol=1e-9)
-        grid = np.linspace(-1.0, 1.0, 5)
+        return config, np.linspace(-1.0, 1.0, 5)
+
+    def test_mismatched_fingerprint_is_a_miss(self, tmp_path):
+        config, grid = self.tiny_oracle()
         key = analysis.config_fingerprint(config, grid)
         path = tmp_path / f"oracle-{key}.csv"
         planted = np.full(grid.size, 7.0)
@@ -230,6 +233,38 @@ class TestOracleCache:
         meta, data = analysis._read_oracle_file(path)
         assert meta["fingerprint"] == key
         np.testing.assert_array_equal(data[:, 1], phi)
+
+    def test_file_cut_mid_row_is_a_miss(self, tmp_path):
+        # a file cut short inside a row fails to parse: rebuilt, not raised
+        config, grid = self.tiny_oracle()
+        phi = analysis._oracle_solve(config, grid, tmp_path)
+        (path,) = tmp_path.glob("oracle-*.csv")
+        whole = path.read_bytes()
+        lines = whole.splitlines(keepends=True)
+        row3 = sum(len(line) for line in lines[:4])  # header, columns, 2 rows
+        path.write_bytes(whole[: row3 + lines[4].rindex(b",") + 1])
+        with pytest.raises(ValueError):
+            analysis._read_oracle_file(path)
+        np.testing.assert_array_equal(analysis._oracle_solve(config, grid, tmp_path), phi)
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("damage", [
+        lambda whole: b"",
+        lambda whole: b"x,phi\n0,1\n",
+        lambda whole: whole[: whole.index(b"\n") // 2] + b"\n",
+        lambda whole: whole.replace(b"\n0,", b"\nzero,", 1),
+    ], ids=["empty", "foreign", "header-json-cut", "non-numeric-cell"])
+    def test_unparsable_file_is_a_miss(self, tmp_path, damage):
+        # every file _read_oracle_file rejects is rebuilt whole, not raised
+        config, grid = self.tiny_oracle()
+        phi = analysis._oracle_solve(config, grid, tmp_path)
+        (path,) = tmp_path.glob("oracle-*.csv")
+        whole = path.read_bytes()
+        path.write_bytes(damage(whole))
+        with pytest.raises(ValueError):
+            analysis._read_oracle_file(path)
+        np.testing.assert_array_equal(analysis._oracle_solve(config, grid, tmp_path), phi)
+        assert path.read_bytes() == whole
 
     def test_committed_oracle_rebuilds_byte_identical(self, tmp_path):
         # the cheapest committed oracle (gaussian pulse, N8 K32, order 10,

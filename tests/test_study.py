@@ -1,4 +1,4 @@
-"""Sweep drivers: variant bookkeeping, fits, scaling check, timed sweeps."""
+"""Sweep drivers: variant bookkeeping, fits, scaling check."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from snmesh import study
 from snmesh.analysis import ReferenceSolution
 from snmesh.analytic import SourceSpec
-from snmesh.dgcore import TransportSystem
 from snmesh.study import (
     BASELINE,
     VARIANTS,
@@ -62,8 +61,9 @@ class TestConvergenceDriver:
     def test_skip_bookkeeping_and_fits(self, monkeypatch):
         stub_reference(monkeypatch)
         spec = SourceSpec("square-pulse", c=1.0, x0=0.5)
+        # values come back sorted whatever order they were asked in
         out = run_convergence(
-            spec, "cells", [2, 4, 8], fixed=1, n_angles=2, t_final=0.3,
+            spec, "cells", [4, 8, 2], fixed=1, n_angles=2, t_final=0.3,
             variants=("standard+static", "uncollided+moving"),
         )
         static = out.records["standard+static"]
@@ -87,6 +87,17 @@ class TestConvergenceDriver:
         rec = out.records["uncollided+moving"]
         assert rec.fit is None and rec.skipped == [2]
         assert out.improvement_over_baseline("uncollided+moving") is None
+
+    def test_infeasible_values_dropped(self, monkeypatch):
+        stub_reference(monkeypatch)
+        spec = SourceSpec("square-pulse", c=1.0, x0=0.5)
+        out = run_convergence(
+            spec, "cells", [2, 4], fixed=1, n_angles=2, t_final=0.3,
+            variants=("uncollided+moving",),
+        )
+        rec = out.records["uncollided+moving"]
+        assert [p.value for p in rec.points] == [4]
+        assert rec.skipped == [2]
 
     def test_mms_filters_requested_variants(self):
         spec = SourceSpec("mms", x0=0.1)
@@ -117,7 +128,7 @@ class TestConvergenceDriver:
             run_convergence(spec, "angles", [2, 4], 2, 4, 0.5)
 
     @pytest.mark.parametrize("kind", ["mms", "gaussian-pulse"])
-    def test_variants_and_repeats_validated_before_any_solve(self, kind, monkeypatch):
+    def test_variants_validated_before_any_solve(self, kind, monkeypatch):
         def no_reference(*a, **kw):
             raise AssertionError("validation must come first")
 
@@ -126,9 +137,6 @@ class TestConvergenceDriver:
         with pytest.raises(ValueError, match="unknown variant 'warp\\+static'"):
             run_convergence(spec, "order", [2], 4, 8, 0.5,
                             variants=("standard+moving", "warp+static"))
-        for repeats in (0, -1):
-            with pytest.raises(ValueError, match="repeats"):
-                run_convergence(spec, "order", [2], 4, 8, 0.5, repeats=repeats)
 
 
 class TestScaleCheck:
@@ -150,44 +158,3 @@ class TestScaleCheck:
     def test_source_kinds_rejected(self):
         with pytest.raises(ValueError):
             run_scalecheck(SourceSpec("square-source", x0=0.5, t0=5.0), 1.0, 3, 8, 8)
-
-
-class TestBench:
-    """A timing benchmark is the convergence sweep with repeats."""
-
-    def test_rows_and_timing(self, monkeypatch):
-        stub_reference(monkeypatch)
-        systems, walls = [], []
-        solve = TransportSystem.solve
-
-        def recording_solve(self, *a, **kw):
-            result = solve(self, *a, **kw)
-            systems.append(self)
-            walls.append(result.wall_seconds)
-            return result
-
-        monkeypatch.setattr(TransportSystem, "solve", recording_solve)
-        spec = SourceSpec("gaussian-pulse", c=1.0, sigma=0.5)
-        out = run_convergence(
-            spec, "cells", [4, 2], fixed=2, n_angles=4, t_final=0.3,
-            variants=("uncollided+moving",), repeats=2,
-        )
-        points = out.records["uncollided+moving"].points
-        assert [p.n_cells for p in points] == [2, 4]
-        # two solves per point, each on a fresh system
-        assert len({id(s) for s in systems}) == len(walls) == 4
-        for p, pair in zip(points, (walls[:2], walls[2:])):
-            assert p.wall_seconds == np.mean(pair) > 0
-            assert p.rmse > 0
-            assert p.order == 2
-
-    def test_infeasible_values_dropped(self, monkeypatch):
-        stub_reference(monkeypatch)
-        spec = SourceSpec("square-pulse", c=1.0, x0=0.5)
-        out = run_convergence(
-            spec, "cells", [2, 4], fixed=1, n_angles=2, t_final=0.3,
-            variants=("uncollided+moving",), repeats=1,
-        )
-        rec = out.records["uncollided+moving"]
-        assert [p.n_cells for p in rec.points] == [4]
-        assert rec.skipped == [2]
