@@ -1,4 +1,4 @@
-"""Error metrics, convergence fits, and gated reference solutions.
+"""Error metrics, convergence fits, gated reference solutions, one file writer.
 
 References come from the manufactured solution when available and otherwise
 from a high-resolution uncollided moving-mesh solve (the self-convergence
@@ -9,7 +9,7 @@ fits drop points that have saturated at that gate.
 
 import json
 import os
-import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -30,12 +30,14 @@ from .analytic import SourceSpec
 from .dgcore import RunConfig, TransportSystem
 
 GRID_POINTS = 201
+SOLUTION_COLUMNS = ("x", "phi", "phi_u", "phi_collided")
 _KEEP_AT_LEAST = 3  # sweep points a convergence fit keeps, saturated or not
 
 ORACLE_ORDER = 10
 ORACLE_CELL_FACTOR = 4
 ORACLE_ANGLE_FACTOR = 4
 ORACLE_MIN_CELLS = 32
+_ORACLE_TAG = "# snmesh-oracle "  # first line of an oracle file, before its JSON metadata
 
 # Abort thresholds on the oracle's own spatial self-convergence, by family.
 GATE_LIMITS = {
@@ -176,33 +178,63 @@ def config_fingerprint(config: RunConfig, grid: np.ndarray) -> str:
     return sha256(blob).hexdigest()[:24]
 
 
-def _format_sig(v: float) -> str:
-    return f"{v:.17g}"
-
-
-def _write_oracle_file(path: Path, meta: dict, grid, phi, phi_u, phi_collided):
-    """Atomic write: a temp file in the same directory is renamed into place."""
+@contextmanager
+def _whole_file(path):
+    """Text handle on a temp file beside ``path`` (opened like any file, so
+    with the umask's mode), renamed onto ``path`` on a clean exit and removed
+    on any exception: ``path`` is whole or untouched."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write("# snmesh-oracle " + json.dumps(meta, sort_keys=True) + "\n")
-            fh.write("x,phi,phi_u,phi_collided\n")
-            for row in zip(grid, phi, phi_u, phi_collided):
-                fh.write(",".join(_format_sig(v) for v in row) + "\n")
+        with open(tmp, "w", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def _format_field(value):
+    # ints too: %.17g prints every int below 1e17 exactly as str() does
+    if isinstance(value, str):
+        return value
+    return "%.17g" % float(value)
+
+
+def write_csv(path, header, rows, first_line=None):
+    """CSV with LF endings and floats as ``%.17g``, under an optional first line."""
+    with _whole_file(path) as fh:
+        if first_line is not None:
+            fh.write(first_line + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_field(v) for v in row) + "\n")
+
+
+def write_manifest(path, payload):
+    with _whole_file(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def solution_table(system: TransportSystem, state, grid: np.ndarray) -> np.ndarray:
+    """The ``SOLUTION_COLUMNS`` of a solve on the grid: the table ``snmesh
+    solve`` writes and an oracle file holds (phi_u is zero for mms)."""
+    phi = system.scalar_flux(state, grid)
+    if system.spec.kind == "mms":
+        phi_u = np.zeros_like(grid)
+    else:
+        phi_u = analytic.uncollided_scalar_flux(system.spec, grid, state.t)
+    return np.column_stack((grid, phi, phi_u, phi - phi_u))
 
 
 def _read_oracle_file(path: Path):
     with open(path) as fh:
         header = fh.readline()
-        if not header.startswith("# snmesh-oracle "):
+        if not header.startswith(_ORACLE_TAG):
             raise ValueError(f"not an oracle cache file: {path}")
-        meta = json.loads(header[len("# snmesh-oracle ") :])
+        meta = json.loads(header[len(_ORACLE_TAG) :])
         fh.readline()  # column header
         data = np.loadtxt(fh, delimiter=",")
     return meta, data
@@ -222,9 +254,7 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
             return data[:, 1]
     system = TransportSystem(config)
     result = system.solve()
-    phi = system.scalar_flux(result.state, grid)
-    # every oracle runs in uncollided mode
-    phi_u = analytic.uncollided_scalar_flux(config.spec, grid, config.t_final)
+    table = solution_table(system, result.state, grid)
     meta = {
         "fingerprint": key,
         "kind": config.spec.kind,
@@ -235,8 +265,9 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
         "steps_accepted": result.stats.steps_accepted,
         "steps_rejected": result.stats.steps_rejected,
     }
-    _write_oracle_file(path, meta, grid, phi, phi_u, phi - phi_u)
-    return phi
+    write_csv(path, SOLUTION_COLUMNS, table,
+              first_line=_ORACLE_TAG + json.dumps(meta, sort_keys=True))
+    return table[:, 1]
 
 
 def _hybrid_safe(k: int) -> int:

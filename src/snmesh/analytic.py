@@ -52,6 +52,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        if not np.all(np.isfinite([self.c, self.x0, self.sigma, self.t0, self.amplitude])):
+            raise ValueError("c, x0, sigma, t0 and amplitude must be finite")
         if self.c < 0:
             raise ValueError("scattering ratio c must be >= 0")
         if self.kind in ("square-pulse", "square-source", "mms") and self.x0 <= 0:

@@ -8,7 +8,6 @@ Parameter precedence: preset, then config file, then command-line flags.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -16,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytic
-from .analysis import OracleGateError, analysis_grid
+from .analysis import (SOLUTION_COLUMNS, OracleGateError, analysis_grid, solution_table,
+                       write_csv, write_manifest)
 from .dgcore import MESH_MODES, SOURCE_MODES, TransportSystem
 from .integrate import IntegrationError
 from .presets import DEFAULTS, config_from_settings, preset_names, preset_settings
@@ -27,7 +27,7 @@ from .study import VARIANTS, run_convergence, run_scalecheck
 _PARAMETERS = (
     ("kind", ("--kind",), "kind", str, analytic.KINDS),
     ("c", ("--c",), "c", float, "scattering ratio"),
-    ("x0", ("--x0",), "x0", float, "half-width of square or plane sources"),
+    ("x0", ("--x0",), "x0", float, "square half-width, mms support; plane pulse ignores it"),
     ("sigma", ("--sigma",), "sigma", float, "Gaussian width"),
     ("t0", ("--t0",), "t0", float, "source switch-off time"),
     ("N", ("--N",), "angles", int, "number of discrete directions"),
@@ -40,31 +40,6 @@ _PARAMETERS = (
 )
 _KEY_MAP = {name: key for name, _, key, _, _ in _PARAMETERS}
 _TYPES = {key: type_ for _, _, key, type_, _ in _PARAMETERS}
-
-
-def _format_field(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
-def write_csv(path, header, rows):
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_field(v) for v in row) + "\n")
-    return path
-
-
-def write_manifest(path, payload):
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def parse_config_file(path):
@@ -99,12 +74,6 @@ def gather_settings(args):
     return settings
 
 
-def _uncollided_column(spec, grid, t):
-    if spec.kind == "mms":
-        return np.zeros_like(grid)
-    return analytic.uncollided_scalar_flux(spec, grid, t)
-
-
 def _stats_payload(stats):
     return {
         "steps_accepted": stats.steps_accepted,
@@ -117,9 +86,8 @@ def _write_outputs(args, settings, csv_name, header, rows, **fields):
     """Write ``csv_name`` and ``manifest.json`` into ``--out-dir``.  The
     manifest holds the fields every command shares plus the command's own."""
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = write_csv(out_dir / csv_name, header, rows)
-    manifest = write_manifest(out_dir / "manifest.json", {
+    write_csv(out_dir / csv_name, header, rows)
+    write_manifest(out_dir / "manifest.json", {
         "artifact": "snmesh",
         "version": __version__,
         "command": args.command,
@@ -127,7 +95,7 @@ def _write_outputs(args, settings, csv_name, header, rows, **fields):
         "outputs": {csv_name.replace(".", "_"): csv_name},
         **fields,
     })
-    print("wrote %s and %s" % (csv_path, manifest))
+    print("wrote %s and %s" % (out_dir / csv_name, out_dir / "manifest.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +108,9 @@ def cmd_solve(args):
     system = TransportSystem(config)
     result = system.solve()
     grid = analysis_grid(config.spec, config.t_final)
-    phi = system.scalar_flux(result.state, grid)
-    phi_u = _uncollided_column(config.spec, grid, result.state.t)
     _write_outputs(
-        args, settings, "solution.csv", ("x", "phi", "phi_u", "phi_collided"),
-        zip(grid, phi, phi_u, phi - phi_u),
+        args, settings, "solution.csv", SOLUTION_COLUMNS,
+        solution_table(system, result.state, grid),
         variant=config.variant,
         wall_seconds=result.wall_seconds,
         integrator=_stats_payload(result.stats),

@@ -92,8 +92,8 @@ class RunConfig:
             raise ValueError("n_angles must be an even count >= 2")
         if self.order < 0:
             raise ValueError("order must be >= 0")
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not 0 < self.t_final < np.inf:
+            raise ValueError("t_final must be positive and finite")
         kind = self.spec.kind
         if kind == "mms":
             if self.source_mode != "standard":

@@ -1,6 +1,7 @@
 """Fits, gates, and the cached reference-solution machinery."""
 
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -174,6 +175,31 @@ class TestFingerprint:
         assert [config_fingerprint(c, grid) for c in configs] == keys
 
 
+class TestWriter:
+    @staticmethod
+    def rows_then_fail():
+        yield (1.0, 2.0)
+        raise RuntimeError("row source failed")
+
+    @pytest.mark.parametrize("before", [None, b"a,b\n0,1\n"])
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, before):
+        path = tmp_path / "table.csv"
+        if before is not None:
+            path.write_bytes(before)
+        with pytest.raises(RuntimeError, match="row source failed"):
+            analysis.write_csv(path, ("a", "b"), self.rows_then_fail())
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else [path.name])
+        if before is not None:
+            assert path.read_bytes() == before
+
+    def test_field_formats(self, tmp_path):
+        # strings as they are, ints exact, floats to 17 significant digits
+        path = tmp_path / "table.csv"
+        rows = [("u+m", 8, 0.1), ("s+s", np.int64(16), 1e-300)]
+        analysis.write_csv(path, ("v", "n", "x"), rows, first_line="# meta")
+        assert path.read_bytes() == b"# meta\nv,n,x\nu+m,8,0.10000000000000001\ns+s,16,1e-300\n"
+
+
 class TestOracleCache:
     SPEC = SourceSpec(kind="gaussian-pulse", c=1.0, sigma=0.5)
 
@@ -226,8 +252,9 @@ class TestOracleCache:
         key = analysis.config_fingerprint(config, grid)
         path = tmp_path / f"oracle-{key}.csv"
         planted = np.full(grid.size, 7.0)
-        analysis._write_oracle_file(path, {"fingerprint": "0" * 24}, grid,
-                                    planted, planted, planted)
+        analysis.write_csv(path, analysis.SOLUTION_COLUMNS,
+                           np.column_stack((grid, planted, planted, planted)),
+                           first_line='# snmesh-oracle {"fingerprint": "%s"}' % ("0" * 24))
         phi = analysis._oracle_solve(config, grid, tmp_path)
         assert not np.any(phi == 7.0)
         meta, data = analysis._read_oracle_file(path)
@@ -284,15 +311,40 @@ class TestOracleCache:
             "                   t_final=0.5, rtol=5e-13, atol=1e-12)\n"
             "grid = analysis.analysis_grid(spec, 0.5)\n"
             "analysis._oracle_solve(config, grid, analysis.Path(sys.argv[1]))\n"
+            "from snmesh import cli\n"
+            "assert cli.main(['solve', '--preset', 'gaussian-pulse', '--N', '8', '--K', '32',\n"
+            "                 '--M', '10', '--t', '0.5', '--out-dir', sys.argv[2]]) == 0\n"
         )
         src = Path(analysis.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src), SNMESH_CACHE_DIR=str(tmp_path))
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
-        subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+        out = tmp_path / "solve"
+        subprocess.run([sys.executable, "-c", code, str(tmp_path), str(out)], env=env,
                        check=True, timeout=300)
         assert [p.name for p in tmp_path.glob("oracle-*.csv")] == [name]
         assert (tmp_path / name).read_bytes() == committed.read_bytes()
+        # the oracle file is the solve command's table under one header line
+        header, table = committed.read_bytes().split(b"\n", 1)
+        assert header.startswith(b"# snmesh-oracle ")
+        assert (out / "solution.csv").read_bytes() == table
+
+    def test_fresh_files_get_the_umask_mode(self, tmp_path):
+        # written files keep the mode a plain open gives, oracles included
+        from snmesh.cli import main
+
+        config, grid = self.tiny_oracle()
+        old = os.umask(0o022)
+        try:
+            analysis._oracle_solve(config, grid, tmp_path / "cache")
+            assert main(["solve", "--preset", "mms", "--N", "2", "--M", "1", "--K", "2",
+                         "--t", "0.1", "--out-dir", str(tmp_path / "out")]) == 0
+        finally:
+            os.umask(old)
+        written = [*(tmp_path / "cache").iterdir(), *(tmp_path / "out").iterdir()]
+        assert len(written) == 3
+        for path in written:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
     def test_corrupt_cache_file_rejected(self, tmp_path):
         bad = tmp_path / "oracle-deadbeef.csv"

@@ -733,6 +733,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SourceSpec("mms", x0=0.1, c=0.9)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["c", "x0", "sigma", "t0", "amplitude"])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # every float field, including those the kind does not read
+        fields = dict(kind="gaussian-source", sigma=SIGMA, t0=T0)
+        SourceSpec(**fields)
+        with pytest.raises(ValueError, match="must be finite"):
+            SourceSpec(**{**fields, field: value})
+
     def test_time_domain_guards(self):
         with pytest.raises(ValueError):
             an.phi_u_plane(0.0, 0.0)

@@ -348,6 +348,27 @@ def test_invalid_sweep_values_fail_before_the_oracles(tmp_path, monkeypatch,
     assert not out.exists() and list(cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--t", "inf"), ("--t", "nan"), ("--c", "nan"), ("--amplitude", "nan"),
+    ("--sigma", "inf"), ("--t0", "-inf"), ("--x0", "nan"),
+])
+def test_non_finite_parameters_fail_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                     flag, value):
+    # at exit 2, with no output and no oracle, not a hang, a NaN table or an
+    # integration failure
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("SNMESH_CACHE_DIR", str(cache))
+    for command in ("solve", "converge"):
+        out = tmp_path / command
+        rc = main([command, "--preset", "gaussian-pulse", "--N", "2", "--M", "0",
+                   "--K", "2", f"{flag}={value}", "--out-dir", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+    assert list(cache.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("error")
 def test_integration_failure_exits_1(tmp_path, capsys):
     # c = 1e300 overflows the first stages: the stepper's IntegrationError
