@@ -119,7 +119,11 @@ def phi_u_gaussian_pulse(x, t, sigma):
         raise ValueError("t must be >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = _gaussian_pulse_spread(x, t, sigma)
-    return np.where(t < 1e-12, np.exp(-(x * x) / (sigma * sigma)), spread)
+    # the t -> 0 limit, only where some t needs it
+    small = t < 1e-12
+    if small.any():
+        return np.where(small, np.exp(-(x * x) / (sigma * sigma)), spread)
+    return spread
 
 
 def _gaussian_pulse_spread(x, s, sigma):
@@ -306,23 +310,32 @@ def volumetric_source(spec: SourceSpec, x, t):
 
 
 def kink_radii(spec: SourceSpec, t, uncollided: bool):
-    """|x| locations where the driving source loses smoothness at time t.
+    """(T, R) table of the |x| where the driving source loses smoothness at
+    each of the times t >= 0 (1-d): row i holds time i's radii in
+    increasing order, NaN where a radius is absent.
 
     Projection quadrature splits cells there so each piece is smooth.
     """
+    t = np.asarray(t, dtype=float)[:, None]
     if spec.kind.startswith("gaussian") or spec.kind == "mms":
-        return ()
+        return np.empty((t.size, 0))
+    x0 = spec.x0
     if not uncollided:
-        return (spec.x0,) if spec.x0 > 0 else ()
+        return np.full((t.size, 1), x0) if x0 > 0 else np.empty((t.size, 0))
     if spec.kind == "plane-pulse":
-        return (t,)
+        return t.copy()
     if spec.kind == "square-pulse":
-        return (abs(t - spec.x0), t + spec.x0)
-    radii = {spec.x0, abs(t - spec.x0), t + spec.x0}
-    if t > spec.t0:
-        radii.add(abs(t - spec.t0 - spec.x0))
-        radii.add(abs(t - spec.t0 + spec.x0))
-    return tuple(sorted(r for r in radii if r > 0))
+        return np.hstack([np.abs(t - x0), t + x0])
+    # square source: the source edge x0, its fronts t -+ x0 and, once the
+    # source is off (t > t0), its shut-off fronts t - t0 -+ x0; of these
+    # only r > 0, each radius once
+    after = np.where(t > spec.t0, t - spec.t0, np.nan)
+    fronts = [np.full(t.shape, x0), t + x0, t - x0, after - x0, after + x0]
+    radii = np.abs(np.hstack(fronts))
+    radii = np.where(radii > 0.0, radii, np.nan)
+    radii.sort(axis=1)
+    radii[:, 1:][radii[:, 1:] == radii[:, :-1]] = np.nan
+    return radii
 
 
 # ---------------------------------------------------------------------------

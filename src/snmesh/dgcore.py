@@ -13,16 +13,13 @@ the upwinded surface term, and s holds the per-direction projected source
 mode).
 
 The right-hand side keeps that (N, K, J) layout at its interface, but works
-moment-major inside, on a (J, N, K) buffer.  Its elementwise factors vary
-by direction and cell, or by cell alone, so in that order each one
-broadcasts over a long inner loop instead of over the J = order + 1
-moments, and at these sizes a numpy pass costs mostly its fixed overhead.
-The volume products run as (J, J) patterns times the transposed state, the
-last sum writes the (N, K, J) result through a transposed view, and every
-element sees the same floating-point operations in the same order as an
-(N, K, J) assembly would apply.  The mesh factors, like the source
-moments, depend on time alone: they are computed once per step attempt for
-all its stage times (once per solve on a static mesh).
+moment-major inside, on a (J, N, K) buffer: its elementwise factors vary by
+direction and cell, or by cell alone, so each broadcasts over a long inner
+loop instead of over the J = order + 1 moments.  Every element sees the
+floating-point operations an (N, K, J) assembly would apply, in the same
+order.  The mesh factors and the source moments depend on time alone: one
+step attempt computes them for all its stage times from one edge table
+(once per solve on a static mesh).
 """
 
 import time
@@ -46,7 +43,8 @@ from .mesh import (
     static_square_mesh,
     static_uniform_mesh,
 )
-from .projection import cell_moments, mirrored_values, projection_points
+from .projection import (cell_moments, mirror_symmetric, mirrored_values,
+                         projection_points)
 from .quadrature import gauss_legendre, gauss_lobatto
 
 SOURCE_MODES = ("standard", "uncollided")
@@ -208,37 +206,32 @@ class TransportSystem:
         self._proj_rule = gauss_legendre(config.order + 7)
         self._uncollided = config.source_mode == "uncollided"
         self._reflect_left = config.half_domain
-        # source moments and mesh factors of the current step attempt,
-        # keyed by stage time
+        # source moments and mesh factors of the current step attempt, keyed
+        # by stage time; the last panel plan of each projection layout
         self._prepared = {}
+        self._plans = {}
         # The per-cell gradient and motion matrices are fixed index patterns
         # scaled by cell width and edge speeds, so the volume terms reduce to
         # two shared (J, J) products plus per-cell scalings (see rhs_coeffs).
-        # Row i of a pattern gathers the moments that feed moment i.
-        coupled, odd_lower, even_lower = index_masks(config.order)
-        self._odd_pattern = np.where(odd_lower, coupled, 0.0)
-        self._even_pattern = np.where(even_lower, coupled, 0.0)
-        self._diag_weights = 2.0 * j + 1.0
-        # Every mesh law moves its edges at constant velocity, so the edge
-        # speed terms and the upwind choice hold for the whole solve.
+        # Row i of a pattern gathers the moments that feed moment i; a
+        # pattern of zeros is None.  Every mesh law moves its edges at
+        # constant velocity, so the edge speed terms and the upwind choice
+        # hold for the whole solve.
         vel = self.mesh.velocities
         self._hdot = vel[1:] - vel[:-1]
-        self._moving = bool(self._hdot.any())
-        # on an exactly antisymmetric mesh with an edge at 0, even profiles
-        # are evaluated on the nodes x > 0 alone (projection.mirrored_values)
-        edges0 = self.mesh.initial_edges
-        self._mirrored = bool(
-            config.n_cells % 2 == 0
-            and np.array_equal(edges0, -edges0[::-1])
-            and np.array_equal(vel, -vel[::-1])
-        )
+        coupled, odd_lower, even_lower = index_masks(config.order)
+        self._odd_pattern = (np.where(odd_lower, coupled, 0.0)
+                             if odd_lower.any() else None)
+        self._even_pattern = (np.where(even_lower, coupled, 0.0)
+                              if even_lower.any() and self._hdot.any() else None)
+        self._diag_weights = 2.0 * j + 1.0
+        self._mirrored = mirror_symmetric(self.mesh)
         self._odd_speed = 2.0 * self.mu[:, None] - (vel[:-1] + vel[1:])[None, :]
         self._rel = self.mu[:, None] - vel[None, :]
         self._upwind_left = self._rel > 0.0
         # a static mesh has one set of factors for the whole solve
-        self._static_factors = (
-            None if vel.any() else self._mesh_factors(np.zeros(1))[0]
-        )
+        self._static_factors = None if vel.any() else self._mesh_factors(
+            edge_table(self.mesh, np.zeros(1))[1])[0]
         # and one projection of a standard-mode source: constant while it
         # is on, t <= t0, and zero after
         self._static_source = None
@@ -263,23 +256,25 @@ class TransportSystem:
 
     # -- projections -------------------------------------------------------
 
-    def project_function(self, times, f, kinks=None, even=False):
+    def project_function(self, times, f, kinks=None, even=False, table=None):
         """Per-cell moments (T, K, J) of f(x, t) at each of the times; f
         takes the node positions and their times as flat arrays.  ``kinks``
-        maps a time to the |x| where f loses smoothness.  An ``even`` f,
-        f(-x, t) == f(x, t) bit for bit, sees only the nodes x > 0 on a
-        mirror-symmetric mesh with an edge at 0."""
+        is the (T, R) table of |x| where f loses smoothness (as kink_radii),
+        ``table`` the times' edge table if known.  An ``even`` f, f(-x, t)
+        == f(x, t) bit for bit, sees only the nodes x > 0 on a
+        mirror-symmetric mesh."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         mirror = even and self._mirrored
-        x, node_t, wts, bins, z, widths = projection_points(
-            self.mesh, self._proj_rule, times, kinks, mirror
-        )
+        edges, widths = edge_table(self.mesh, times) if table is None else table
+        plan, (x, node_t, wts, bins, z) = projection_points(
+            self._plans.get(mirror), edges, kinks, times, self._proj_rule, mirror)
+        self._plans[mirror] = plan
         values = mirrored_values(f, x, node_t) if mirror else f(x, node_t)
         return cell_moments(values, wts, bins, z, widths, self._sq)
 
-    def source_moments(self, times):
+    def source_moments(self, times, table=None):
         """Projected per-direction source at each of the times: (T, K, J) if
-        isotropic, else (T, N, K, J)."""
+        isotropic, else (T, N, K, J); ``table`` as in project_function."""
         times = np.asarray(times, dtype=float)
         spec = self.spec
         if self._uncollided:
@@ -287,45 +282,40 @@ class TransportSystem:
                 # Closed form: plateau e^-t/(2t), mean moment only.  The outer edges
                 # sit PLANE_EPS_X0 past |x| = t, where phi_u ends, so the mass is
                 # (1 + 1e-10/t) times too high and outer cells lose higher moments.
-                _, widths = edge_table(self.mesh, times)
+                _, widths = edge_table(self.mesh, times) if table is None else table
                 out = np.zeros(widths.shape + (self.config.order + 1,))
                 plateau = spec.amplitude * np.exp(-times) / (2.0 * times)
                 out[..., 0] = 0.5 * spec.c * plateau[:, None] * np.sqrt(widths)
                 return out
-            kinks = lambda t: analytic.kink_radii(spec, t, uncollided=True)
             phi_u = lambda x, t: analytic.uncollided_scalar_flux(spec, x, t)
-            return 0.5 * spec.c * self.project_function(times, phi_u, kinks, True)
+            return 0.5 * spec.c * self.project_function(
+                times, phi_u, analytic.kink_radii(spec, times, True), True, table)
         if spec.kind == "mms":
-            x0 = spec.x0
+            src = lambda mu, x, t: analytic.mms_source(x, mu, t, spec.x0)
             even = self.project_function(
-                times, lambda x, t: analytic.mms_source(x, 0.0, t, x0), None, True
-            )
+                times, lambda x, t: src(0.0, x, t), None, True, table)
             slope = self.project_function(
-                times,
-                lambda x, t: analytic.mms_source(x, 1.0, t, x0)
-                - analytic.mms_source(x, 0.0, t, x0),
-            )
+                times, lambda x, t: src(1.0, x, t) - src(0.0, x, t), None, False, table)
             return 0.5 * (even[:, None] + self.mu[None, :, None, None] * slope[:, None])
         if spec.kind in SOURCE_KINDS:
             if self._static_source is not None:
                 on = (times <= spec.t0)[:, None, None]
                 return np.where(on, self._static_source, 0.0)
-            return self._volumetric_moments(times)
+            return self._volumetric_moments(times, table)
         return np.zeros((times.size, self.config.n_cells, self.config.order + 1))
 
-    def _volumetric_moments(self, times):
+    def _volumetric_moments(self, times, table=None):
         """Projected standard-mode source, half the volumetric S(x, t)."""
         spec = self.spec
-        kinks = lambda t: analytic.kink_radii(spec, t, uncollided=False)
+        kinks = analytic.kink_radii(spec, times, uncollided=False)
         src = lambda x, t: analytic.volumetric_source(spec, x, t)
-        return 0.5 * self.project_function(times, src, kinks, True)
+        return 0.5 * self.project_function(times, src, kinks, True, table)
 
-    def _mesh_factors(self, times):
-        """Per-time scalings of the RHS, in its moment-major layout: 1/sqrt(h)
-        (K,), the diagonal with the collision loss (J, K), the odd (N, K)
-        and even (K,) volume factors, and the right and left trace factors
-        (J, K) of the surface term."""
-        _, h = edge_table(self.mesh, times)
+    def _mesh_factors(self, h):
+        """Per-time scalings of the RHS for (T, K) cell widths h, moment-major:
+        1/sqrt(h) (K,), the diagonal with the collision loss (J, K), the odd
+        (N, K) and even (K,) volume factors, and the right and left trace
+        factors (J, K) of the surface term."""
         inv_sqrt_h = 1.0 / np.sqrt(h)
         diag = (-0.5 * self._hdot / h)[:, None, :] * self._diag_weights[:, None] - 1.0
         odd = self._odd_speed / h[:, None, :]
@@ -335,12 +325,10 @@ class TransportSystem:
 
     def _stage_terms(self, times):
         """(source moments, mesh factors) of the RHS at each of the times."""
-        factors = (
-            self._mesh_factors(times)
-            if self._static_factors is None
-            else repeat(self._static_factors)
-        )
-        return zip(self.source_moments(times), factors)
+        if self._static_factors is not None:
+            return zip(self.source_moments(times), repeat(self._static_factors))
+        table = edge_table(self.mesh, times)
+        return zip(self.source_moments(times, table), self._mesh_factors(table[1]))
 
     def _prepare_sources(self, times):
         """Stepper hook: the source moments and mesh factors of one step
@@ -357,26 +345,21 @@ class TransportSystem:
         shape = (cfg.n_angles, cfg.n_cells, cfg.order + 1)
         if self._uncollided:
             return SolutionState(np.zeros(shape), self.t_start)
-        kinks = ()
-        plane_w = None
+        kinks = plane_w = None
         if self.spec.kind == "square-pulse":
-            kinks = (self.spec.x0,)
+            kinks = np.array([[self.spec.x0]])
         elif self.spec.kind == "plane-pulse":
-            # The delta initial condition is approximated at mesh resolution:
-            # a box as wide as the cells meeting at the origin is exactly
-            # representable, and halving the cells halves the smearing, so the
-            # standard treatment converges toward the point pulse rather than
-            # toward a fixed smeared problem.
+            # The delta initial condition becomes a box as wide as the cells
+            # meeting at the origin: exactly representable, and halved with
+            # the cells, so the standard treatment converges toward the point
+            # pulse rather than toward a fixed smeared problem.
             edges, _ = self.mesh_at(self.t_start)
             i = int(np.argmin(np.abs(edges)))
             i = min(max(i, 1), cfg.n_cells - 1)
             plane_w = float(edges[i + 1] - edges[i])
-            kinks = (plane_w,)
-        coeffs = self.project_function(
-            [self.t_start],
-            lambda x, t: analytic.initial_psi(self.spec, x, plane_w),
-            lambda t: kinks,
-        )
+            kinks = np.array([[plane_w]])
+        psi0 = lambda x, t: analytic.initial_psi(self.spec, x, plane_w)
+        coeffs = self.project_function([self.t_start], psi0, kinks)
         return SolutionState(np.broadcast_to(coeffs[0], shape).copy(), self.t_start)
 
     # -- semidiscrete right-hand side ---------------------------------------
@@ -395,11 +378,13 @@ class TransportSystem:
         du = np.empty((j_funcs, n, k_cells))
         np.multiply(diag[:, None, :], u.transpose(2, 0, 1), out=du)
         # one work buffer serves every product below
-        work = self._odd_pattern @ flat.T
+        work = np.empty((j_funcs, n * k_cells))
         part = work.reshape(du.shape)
-        part *= odd_fac
-        du += part
-        if self._moving:
+        if self._odd_pattern is not None:
+            np.matmul(self._odd_pattern, flat.T, out=work)
+            part *= odd_fac
+            du += part
+        if self._even_pattern is not None:
             np.matmul(self._even_pattern, flat.T, out=work)
             part *= even_fac
             du -= part

@@ -7,6 +7,18 @@ and the nodes of all panels and times go to one call of that function.
 Each (time, cell) bin sums its nodes in node order, so a batch gives, bit
 for bit, the values of one-time projections.
 
+The panel geometry comes in two steps.  A ``PanelPlan`` holds what depends
+only on the order of the batch's breaks: which kinks lie inside, the sort
+and the ties kept, the break indices at each panel's ends, each panel's
+time and cell, and the mirror order; integers only.  ``PanelPlan.apply``
+computes from the break values what depends on them: panel midpoints and
+half-widths, nodes, weights, reference coordinates and node times, and the
+cell of a panel so narrow that its midpoint rounds onto its right edge.  A
+plan holds for the next batch of as many times as long as the breaks of
+each time keep their order, rising where they rose and tying where they
+tied: a fresh sort would then give the same plan, so a step attempt that
+moves no kink past an edge reuses the last attempt's plan.
+
 On a mesh whose edges and edge velocities are exactly antisymmetric, with
 an edge at 0, the panels below 0 mirror those above it exactly, so a
 function even in x needs its values on the nodes x > 0 only.
@@ -15,76 +27,134 @@ function even in x needs its values on the nodes x > 0 only.
 import numpy as np
 
 from .basis import legendre_rows
-from .mesh import edge_table
 
 
-def projection_points(mesh, rule, times, kinks, mirror):
-    """Nodes of the quadrature rule on panels of every cell at each time,
-    with the cells split at the interior kinks ``kinks(t)`` names for that
-    time.
+def mirror_symmetric(mesh):
+    """Whether the mesh's edges and edge velocities are exactly
+    antisymmetric, with an edge at 0: even profiles are then evaluated on
+    the nodes x > 0 alone (mirrored_values)."""
+    e0, vel = mesh.initial_edges, mesh.velocities
+    return bool(e0.size % 2 and np.array_equal(e0, -e0[::-1])
+                and np.array_equal(vel, -vel[::-1]))
 
-    Returns flat arrays, time by time, of the node position x, its time,
-    weight, (time, cell) bin and reference coordinate z, and the (T, K)
-    cell widths.  With ``mirror``, on a mirror-symmetric mesh with an edge
-    at 0, the panels below 0 come first, the times in reverse, then those
-    above 0: x is then the exact negative of its reverse (see
-    mirrored_values).  Each bin keeps its nodes in order either way.
-    """
-    edges, widths = edge_table(mesh, times)
-    n_times, k_cells = widths.shape
-    n_edges = k_cells + 1
-    # panel breaks: each time's edges and the +-kinks strictly inside,
-    # sorted by (time, x) with ties kept once, an edge before a kink
-    brk = [edges.ravel()]
-    owner = [np.repeat(np.arange(n_times), n_edges)]
-    if kinks:
-        extra = [
-            (r, i)
-            for i, t in enumerate(times.tolist())
-            for s in kinks(t)
-            for r in (-s, s)
-            if edges[i, 0] < r < edges[i, -1]
-        ]
-        if extra:
-            brk.append(np.array([r for r, _ in extra]))
-            owner.append(np.array([i for _, i in extra]))
-    brk, owner = np.concatenate(brk), np.concatenate(owner)
-    perm = np.lexsort((brk, owner))
-    brk, owner, is_edge = brk[perm], owner[perm], perm < edges.size
-    first = np.ones(brk.size, dtype=bool)
-    first[1:] = (brk[1:] != brk[:-1]) | (owner[1:] != owner[:-1])
-    brk, owner, is_edge = brk[first], owner[first], is_edge[first]
-    # panels join consecutive breaks of one time
-    left = np.flatnonzero(owner[:-1] == owner[1:])
-    owner = owner[left]
-    a, b = brk[left], brk[left + 1]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    # the cell holding mid, as a search of the edges finds it: the edges
-    # at or below a, plus b if mid rounds onto an edge there
-    below = np.cumsum(is_edge)[left] - owner * n_edges
-    cell = below - 1 + ((mid == b) & is_edge[left + 1])
-    cell = np.clip(cell, 0, k_cells - 1) + owner * n_edges
-    if mirror:
-        side = np.where(mid < 0.0, n_times - 1 - owner, n_times + owner)
-        perm = np.argsort(side, kind="stable")
-        owner, mid, half, cell = owner[perm], mid[perm], half[perm], cell[perm]
-    # cell edges gathered per panel, not per node
-    flat = edges.ravel()
-    xl = flat[cell][:, None]
-    xr = flat[cell + 1][:, None]
-    nodes = mid[:, None] + half[:, None] * rule.nodes[None, :]
-    wts = half[:, None] * rule.weights[None, :]
-    z = np.clip((2.0 * nodes - xl - xr) / (xr - xl), -1.0, 1.0)
-    bins = np.repeat(cell - owner, rule.n)
-    node_t = np.repeat(times[owner], rule.n)
-    return nodes.ravel(), node_t, wts.ravel(), bins, z.ravel(), widths
+
+def breaks(edges, kinks):
+    """The breaks of a batch, flat: the (T, K + 1) edge table, then time by
+    time the -s, s of each radius s in the (T, R) kink table (NaN where a
+    radius is absent, or ``kinks`` None) strictly inside the time's outer
+    edges; and the (T, R, 2) mask of those inside."""
+    if kinks is None or not kinks.size:
+        return edges.ravel(), None
+    signed = np.stack([-kinks, kinks], axis=-1)
+    inside = (edges[:, :1, None] < signed) & (signed < edges[:, -1:, None])
+    return np.concatenate([edges.ravel(), signed[inside]]), inside
+
+
+class PanelPlan:
+    """The panels of a batch's breaks (see ``breaks``) as integers: panels
+    join consecutive breaks of one time, sorted by (time, x) with ties kept
+    once, an edge before a kink.  With ``mirror``, on a mirror-symmetric
+    mesh with an edge at 0, the panels below 0 come first, the times in
+    reverse, then those above 0: the node positions are then the exact
+    negative of their reverse (see mirrored_values).  Each bin keeps its
+    nodes in order either way."""
+
+    def __init__(self, brk, inside, shape, mirror):
+        n_times, n_edges = self.shape = shape
+        self.inside = inside
+        owner = np.repeat(np.arange(n_times), n_edges)
+        if inside is not None:
+            owner = np.concatenate([owner, np.nonzero(inside)[0]])
+        order = np.lexsort((brk, owner))
+        x, owner, is_edge = brk[order], owner[order], order < n_times * n_edges
+        same = owner[1:] == owner[:-1]
+        first = np.ones(brk.size, dtype=bool)
+        first[1:] = (x[1:] != x[:-1]) | ~same
+        # what fits() checks: the breaks of each pair of neighbours of one
+        # time, and whether they rise or tie; edges alone rise by the mesh law
+        self.size, self.pairs, self.rise = brk.size, None, None
+        if inside is not None:
+            pair = np.flatnonzero(same)
+            self.pairs, self.rise = (order[pair], order[pair + 1]), first[1:][same]
+        kept = np.flatnonzero(first)
+        owner, is_edge = owner[kept], is_edge[kept]
+        left = np.flatnonzero(owner[:-1] == owner[1:])
+        self.lo, self.hi = order[kept[left]], order[kept[left + 1]]
+        self.owner = owner[left]
+        self.hi_edge = is_edge[left + 1]
+        # the cell holding the midpoint, as a search of the edges finds it:
+        # the edges at or below the panel's left break
+        below = np.cumsum(is_edge)[left] - self.owner * n_edges
+        self.cell = np.clip(below - 1, 0, n_edges - 2) + self.owner * n_edges
+        self.negative = None
+        if mirror:
+            self.negative = self._midpoints(brk)[0] < 0.0
+            side = np.where(self.negative, n_times - 1 - self.owner, n_times + self.owner)
+            perm = np.argsort(side, kind="stable")
+            for name in ("lo", "hi", "owner", "hi_edge", "cell", "negative"):
+                setattr(self, name, getattr(self, name)[perm])
+
+    def _midpoints(self, brk):
+        a, b = brk[self.lo], brk[self.hi]
+        return 0.5 * (a + b), 0.5 * (b - a), b
+
+    def fits(self, brk, inside):
+        """Whether the breaks of a batch of as many times keep the order
+        this plan was built on."""
+        if brk.size != self.size:
+            return False
+        if inside is None or self.inside is None:
+            return inside is self.inside
+        if not np.array_equal(inside, self.inside):
+            return False
+        lo, hi = brk[self.pairs[0]], brk[self.pairs[1]]
+        rise = hi > lo
+        return np.array_equal(rise, self.rise) and (rise | (hi == lo)).all()
+
+    def apply(self, brk, times, rule):
+        """Nodes of the quadrature rule on every panel, flat, time by time:
+        position x, time, weight, (time, cell) bin and reference coordinate
+        z; None if, in a mirror plan, a midpoint is no longer on the side
+        of 0 the mirror order put it (one that rounds to 0 counts as above)."""
+        mid, half, b = self._midpoints(brk)
+        if self.negative is not None and not np.array_equal(mid < 0.0, self.negative):
+            return None
+        cell = self.cell
+        # a midpoint that rounds onto an edge on the right is in the next cell
+        onto = (mid == b) & self.hi_edge
+        if onto.any():
+            last = self.owner * self.shape[1] + self.shape[1] - 2
+            cell = np.minimum(cell + onto, last)
+        # cell edges gathered per panel, not per node
+        xl = brk[cell][:, None]
+        xr = brk[cell + 1][:, None]
+        nodes = mid[:, None] + half[:, None] * rule.nodes[None, :]
+        wts = half[:, None] * rule.weights[None, :]
+        z = np.clip((2.0 * nodes - xl - xr) / (xr - xl), -1.0, 1.0)
+        bins = np.repeat(cell - self.owner, rule.n)
+        node_t = np.repeat(times[self.owner], rule.n)
+        return nodes.ravel(), node_t, wts.ravel(), bins, z.ravel()
+
+
+def projection_points(plan, edges, kinks, times, rule, mirror):
+    """Nodes of ``rule`` on the panels of every cell at each time, the cells
+    split at the radii of the (T, R) kink table: (plan, (x, node_t, wts,
+    bins, z)), through ``plan`` if it still holds, else through the new
+    plan returned."""
+    brk, inside = breaks(edges, kinks)
+    points = None
+    if plan is not None and plan.fits(brk, inside):
+        points = plan.apply(brk, times, rule)
+    if points is None:
+        plan = PanelPlan(brk, inside, edges.shape, mirror)
+        points = plan.apply(brk, times, rule)
+    return plan, points
 
 
 def mirrored_values(f, x, node_t):
-    """f(x, t) at nodes laid out by projection_points with ``mirror``, for
-    f even in x bit for bit: f runs once, on the upper half of the nodes
-    (x > 0), and the lower half takes their values in reverse."""
+    """f(x, t) at nodes laid out by a mirror plan, for f even in x bit for
+    bit: f runs once, on the upper half of the nodes (x > 0), and the lower
+    half takes their values in reverse."""
     half = x.size // 2
     upper = f(x[half:], node_t[half:])
     return np.concatenate([upper[::-1], upper])

@@ -665,26 +665,88 @@ class TestScaling:
         assert got == pytest.approx(0.5 * np.exp(-0.5) * (1.0 + 5.0))
 
 
-class TestKinkRadii:
-    def test_smooth_profiles_have_none(self):
-        assert an.kink_radii(SourceSpec("gaussian-pulse", sigma=SIGMA), 1.0, True) == ()
-        assert an.kink_radii(SourceSpec("mms", x0=0.1), 1.0, True) == ()
+def per_time_kinks(spec, t, uncollided):
+    """The kink rule at one time, as the solver stated it before it took a
+    table for a batch of times: the reference each row must equal."""
+    if spec.kind.startswith("gaussian") or spec.kind == "mms":
+        return ()
+    if not uncollided:
+        return (spec.x0,) if spec.x0 > 0 else ()
+    if spec.kind == "plane-pulse":
+        return (t,)
+    if spec.kind == "square-pulse":
+        return (abs(t - spec.x0), t + spec.x0)
+    radii = {spec.x0, abs(t - spec.x0), t + spec.x0}
+    if t > spec.t0:
+        radii.add(abs(t - spec.t0 - spec.x0))
+        radii.add(abs(t - spec.t0 + spec.x0))
+    return tuple(sorted(r for r in radii if r > 0))
 
-    def test_square_pulse_fronts(self):
+
+def kink_specs():
+    yield SourceSpec("plane-pulse")
+    yield SourceSpec("plane-pulse", x0=0.25)
+    yield SourceSpec("square-pulse", x0=X0)
+    for t0 in (1.0, 2.0, 0.25):
+        yield SourceSpec("square-source", x0=X0, t0=t0)
+    yield SourceSpec("gaussian-pulse", sigma=SIGMA)
+    yield SourceSpec("gaussian-source", sigma=SIGMA, t0=T0)
+    yield SourceSpec("mms", x0=0.1)
+
+
+def kink_times(spec):
+    """t -> 0, t = x0, t = t0 -+ x0, t0 and just past it, and a spread."""
+    x0, t0 = spec.x0, spec.t0
+    special = [0.0, 5e-324, 1e-300, 1e-10, x0, 2.0 * x0, t0, np.nextafter(t0, 9.0),
+               t0 - x0, t0 + x0, np.nextafter(t0 + x0, 9.0), np.nextafter(x0, 0.0)]
+    return np.array([t for t in special if t >= 0.0] + list(np.linspace(0.0, 4.0, 81)))
+
+
+class TestKinkRadii:
+    """kink_radii's (T, R) table, row by row, against the per-time rule."""
+
+    @pytest.mark.parametrize("uncollided", [True, False])
+    @pytest.mark.parametrize("spec", list(kink_specs()), ids=lambda s: f"{s.kind}-{s.x0}-{s.t0}")
+    def test_rows_equal_the_per_time_rule(self, spec, uncollided):
+        times = kink_times(spec)
+        table = an.kink_radii(spec, times, uncollided)
+        assert table.ndim == 2 and table.shape[0] == times.size
+        for t, row in zip(times.tolist(), table):
+            got = row[~np.isnan(row)]
+            assert got.tolist() == list(per_time_kinks(spec, t, uncollided)), t
+            # the radii are in increasing order
+            assert np.all(np.diff(got) >= 0.0)
+            # a batch row is the row of that time alone
+            alone = an.kink_radii(spec, np.array([t]), uncollided)[0]
+            np.testing.assert_array_equal(np.sort(alone), np.sort(row))
+
+    def test_smooth_profiles_have_none(self):
+        times = np.array([0.0, 1.0, 3.0])
+        for spec in (SourceSpec("gaussian-pulse", sigma=SIGMA), SourceSpec("mms", x0=0.1)):
+            assert an.kink_radii(spec, times, True).shape == (3, 0)
+
+    def test_square_pulse_fronts_keep_the_zero_radius_at_x0(self):
         spec = SourceSpec("square-pulse", x0=X0)
-        assert an.kink_radii(spec, 0.2, True) == (abs(0.2 - X0), 0.2 + X0)
-        assert an.kink_radii(spec, 2.0, True) == (1.5, 2.5)
-        assert an.kink_radii(spec, 2.0, False) == (X0,)
+        table = an.kink_radii(spec, np.array([0.2, X0, 2.0]), True)
+        np.testing.assert_array_equal(table, [[abs(0.2 - X0), 0.2 + X0], [0.0, 2 * X0],
+                                              [1.5, 2.5]])
+        np.testing.assert_array_equal(an.kink_radii(spec, np.array([2.0]), False), [[X0]])
 
     def test_plane_front_moves(self):
-        assert an.kink_radii(SourceSpec("plane-pulse"), 0.8, True) == (0.8,)
+        np.testing.assert_array_equal(
+            an.kink_radii(SourceSpec("plane-pulse"), np.array([0.8, 0.1]), True), [[0.8], [0.1]])
 
-    def test_square_source_adds_shutoff_fronts(self):
+    def test_square_source_keeps_positive_radii_once(self):
         spec = SourceSpec("square-source", x0=X0, t0=2.0)
-        during = an.kink_radii(spec, 1.0, True)
-        assert set(during) == {X0, abs(1.0 - X0), 1.0 + X0}
-        after = an.kink_radii(spec, 3.0, True)
-        assert abs(3.0 - 2.0 - X0) in after and abs(3.0 - 2.0 + X0) in after
+        table = an.kink_radii(spec, np.array([1.0, X0, 2 * X0, 3.0]), True)
+        rows = [set(row[~np.isnan(row)].tolist()) for row in table]
+        assert rows[0] == {X0, abs(1.0 - X0), 1.0 + X0}
+        # t = x0: the front t - x0 sits at 0 and is dropped
+        assert rows[1] == {X0, 2 * X0}
+        # t = 2 x0: the front |t - x0| is the source edge x0, kept once
+        assert rows[2] == {X0, 3 * X0} and np.isnan(table[2]).sum() == 3
+        # after the shut-off at t0 = 2
+        assert rows[3] == {X0, 2.5, 3.5, abs(3.0 - 2.0 - X0), abs(3.0 - 2.0 + X0)}
 
 
 class TestInitialData:

@@ -31,7 +31,8 @@ from snmesh.dgcore import (
     start_time,
 )
 from snmesh.integrate import _C, IntegrationError
-from snmesh.projection import cell_moments, projection_points
+from snmesh.mesh import edge_table
+from snmesh.projection import breaks, cell_moments, projection_points
 
 from cell_matrices import gradient_matrices, motion_matrices
 
@@ -196,11 +197,11 @@ class TestPolynomialExactness:
         system = TransportSystem(cfg)
         psi, psi_t, psi_x = self.psi, self.psi_t, self.psi_x
 
-        def source(times):
+        def source(times, table=None):
             # psi_t + mu psi_x + psi - (c / 2) phi with phi = 2 psi
             even = system.project_function(
-                times, lambda x, t: psi_t(x, t) + (1.0 - c) * psi(x, t))
-            slope = system.project_function(times, psi_x)
+                times, lambda x, t: psi_t(x, t) + (1.0 - c) * psi(x, t), None, False, table)
+            slope = system.project_function(times, psi_x, None, False, table)
             return even[:, None] + system.mu[None, :, None, None] * slope[:, None]
 
         def inflow(t):
@@ -282,6 +283,18 @@ class TestSourceMoments:
         np.testing.assert_allclose(mid, inner, rtol=0, atol=1e-12)
 
 
+def kink_row(spec, t, uncollided):
+    """The radii of the kink table at the single time t."""
+    row = an.kink_radii(spec, np.array([t]), uncollided)[0]
+    return row[~np.isnan(row)]
+
+
+def fresh_points(system, times, kinks=None, mirror=False):
+    """Panel nodes (x, node_t, wts, bins, z) of the times through a new plan."""
+    edges, _ = edge_table(system.mesh, times)
+    return projection_points(None, edges, kinks, times, system._proj_rule, mirror)[1]
+
+
 def _per_time_points(system, ms, kinks):
     """Panel nodes of one time, as the solver built them before it batched
     over stage times: (x, weight, cell, z)."""
@@ -323,7 +336,7 @@ def per_time_source(system, t):
             plateau = spec.amplitude * np.exp(-t) / (2.0 * t)
             out[:, 0] = 0.5 * spec.c * plateau * np.sqrt(ms.widths)
             return out
-        kinks = an.kink_radii(spec, t, uncollided=True)
+        kinks = kink_row(spec, t, uncollided=True)
         phi_u = lambda x: an.uncollided_scalar_flux(spec, x, t)
         return 0.5 * spec.c * _per_time_project(system, ms, phi_u, kinks)
     if spec.kind == "mms":
@@ -333,7 +346,7 @@ def per_time_source(system, t):
             lambda x: an.mms_source(x, 1.0, t, spec.x0) - an.mms_source(x, 0.0, t, spec.x0))
         return 0.5 * (even[None] + system.mu[:, None, None] * slope[None])
     if spec.kind in an.SOURCE_KINDS:
-        kinks = an.kink_radii(spec, t, uncollided=False)
+        kinks = kink_row(spec, t, uncollided=False)
         src = lambda x: an.volumetric_source(spec, x, t)
         return 0.5 * _per_time_project(system, ms, src, kinks)
     return np.zeros((ms.n_cells, system.config.order + 1))
@@ -388,7 +401,7 @@ class TestBatchedSourceMoments:
                 edge = np.nextafter(edge, step)
             return (abs(edge),)
         f = lambda x, t: np.exp(-x * x) * (1.0 + t)
-        got = system.project_function(times, f, kinks)
+        got = system.project_function(times, f, np.array([kinks(tt) for tt in times]))
         for tt, row in zip(times, got):
             want = _per_time_project(system, mesh_state(system, tt),
                                      lambda x: f(x, tt), kinks(tt))
@@ -412,6 +425,70 @@ class TestBatchedSourceMoments:
         system = TransportSystem(cfg)
         system.solve()
         assert system._prepared == {}
+
+
+class TestPanelPlan:
+    """A plan of the panel geometry is reused while the breaks keep their
+    order and rebuilt when they do not, and either way the moments are
+    those of the per-time projection, bit for bit."""
+
+    def test_replayed_solve_reuses_and_rebuilds(self):
+        # t0 = 1: the kinks cross edges and the shut-off radii appear at t0
+        cfg = make_config(kind="square-source", mode="uncollided", mesh="moving",
+                          K=8, M=2, N=4, x0=0.5, t0=1.0, t_final=1.5)
+        recorder = TransportSystem(cfg)
+        batches = []
+        prepare = recorder._prepare_sources
+        recorder._prepare_sources = lambda times: (batches.append(times.copy()),
+                                                   prepare(times))
+        recorder.solve()
+        system = TransportSystem(cfg)
+        assert system._mirrored
+        reused = rebuilt = 0
+        for times in batches:
+            before = system._plans.get(True)
+            got = system.source_moments(times)
+            after = system._plans[True]
+            reused += after is before
+            rebuilt += before is not None and after is not before
+            want = np.stack([per_time_source(system, tt) for tt in times])
+            assert got.tobytes() == want.tobytes()
+        assert reused > 0 and rebuilt > 0
+        assert any((times > 1.0).any() for times in batches)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_reused_plan_gives_the_points_of_a_fresh_one(self, mirror):
+        cfg = make_config(kind="square-source", mode="uncollided", mesh="moving",
+                          K=8, M=3, N=4, x0=0.5, t0=1.0)
+        system = TransportSystem(cfg)
+        rule, plan, reused = system._proj_rule, None, 0
+        for t in np.linspace(0.05, 1.9, 60):
+            times = t + _C[1:] * 0.03
+            edges, _ = edge_table(system.mesh, times)
+            kinks = an.kink_radii(system.spec, times, True)
+            prior = plan
+            plan, got = projection_points(plan, edges, kinks, times, rule, mirror)
+            reused += plan is prior
+            want = projection_points(None, edges, kinks, times, rule, mirror)[1]
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        assert 0 < reused < 59
+
+    def test_midpoint_rounding_to_zero_rebuilds_a_mirror_plan(self):
+        # the panel (-5e-324, 0) has the midpoint -0.0, so it goes above 0
+        # in the mirror order, as in a fresh plan, though no break moved
+        cfg = make_config(kind="gaussian-pulse", mesh="static", K=4, M=2, N=4)
+        system = TransportSystem(cfg)
+        times = np.array([0.3, 0.4])
+        edges, _ = edge_table(system.mesh, times)
+        rule = system._proj_rule
+        plan, _ = projection_points(None, edges, np.full((2, 1), 1e-3), times, rule, True)
+        tiny = np.full((2, 1), 5e-324)
+        again, got = projection_points(plan, edges, tiny, times, rule, True)
+        want = projection_points(None, edges, tiny, times, rule, True)[1]
+        assert plan.fits(*breaks(edges, tiny)) and again is not plan
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def parent_rhs(system, t, u):
@@ -486,12 +563,13 @@ class TestMomentMajorRhs:
         for tt in (times[0], 0.7):
             got = system.rhs_coeffs(tt, u)
             assert got.shape == shape and got.flags.c_contiguous
-            np.testing.assert_array_equal(got, parent_rhs(system, tt, u))
+            # the bytes too: array equality does not see the sign of a zero
+            assert got.tobytes() == parent_rhs(system, tt, u).tobytes()
         system._prepare_sources(times)
         for tt in times:
             got = system.rhs_coeffs(tt, u)
             assert got.shape == shape and got.flags.c_contiguous
-            np.testing.assert_array_equal(got, parent_rhs(system, tt, u))
+            assert got.tobytes() == parent_rhs(system, tt, u).tobytes()
         # the flat view the stepper sees is the same array
         np.testing.assert_array_equal(system.rhs_flat(times[3], u.ravel()),
                                       parent_rhs(system, times[3], u).ravel())
@@ -574,8 +652,8 @@ class TestMirroredSources:
         times = 0.45 + _C[1:] * 0.1
         system.source_moments(times)
         assert len(seen) == 1 and seen[0].min() > 0.0
-        kinks = lambda t: an.kink_radii(system.spec, t, mode == "uncollided")
-        full = projection_points(system.mesh, system._proj_rule, times, kinks, False)[0]
+        kinks = an.kink_radii(system.spec, times, mode == "uncollided")
+        full = fresh_points(system, times, kinks)[0]
         # K = 8 puts an edge at 0, so exactly half the nodes are used
         assert seen[0].size == full.size // 2
 
@@ -585,7 +663,7 @@ class TestMirroredSources:
         system = TransportSystem(cfg)
         seen = self.recorder(monkeypatch, "mms_source")
         system.source_moments(times)
-        full = projection_points(system.mesh, system._proj_rule, times, None, False)[0]
+        full = fresh_points(system, times)[0]
         # the even part once on the upper half, the odd slope on every node
         sizes = sorted(x.size for x in seen)
         assert sizes[0] == full.size // 2 and sizes[-1] == full.size
@@ -600,7 +678,7 @@ class TestMirroredSources:
         f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
         times = 0.3 + _C[1:] * 0.05
         got = system.project_function(times, f, None, True)
-        full = projection_points(system.mesh, system._proj_rule, times, None, False)[0]
+        full = fresh_points(system, times)[0]
         assert sizes == [full.size]
         np.testing.assert_array_equal(got, system.project_function(times, f))
 
@@ -623,9 +701,10 @@ class TestMirroredSources:
             return (0.05 + 0.1 * t, 0.9, np.nextafter(edge, 0.0))
 
         times = 0.3 + _C[1:] * 0.05
-        got = system.project_function(times, f, kinks, True)
+        table = np.array([kinks(tt) for tt in times])
+        got = system.project_function(times, f, table, True)
         assert len(calls) == 1
-        np.testing.assert_array_equal(got, system.project_function(times, f, kinks))
+        np.testing.assert_array_equal(got, system.project_function(times, f, table))
         for tt, row in zip(times, got):
             np.testing.assert_array_equal(
                 row, _per_time_project(system, mesh_state(system, tt), lambda x: f(x, tt),
@@ -640,20 +719,19 @@ class TestMirroredSources:
         cfg = make_config(kind=kind, mode="uncollided", mesh=mesh, K=8, M=4, N=4,
                           x0=0.5, t0=1.0)
         system = TransportSystem(cfg)
-        kinks = lambda t: an.kink_radii(system.spec, t, True)
         times = 0.45 + _C[1:] * 0.1
-        x, node_t, *rest = projection_points(system.mesh, system._proj_rule, times,
-                                             kinks, True)
+        kinks = an.kink_radii(system.spec, times, True)
+        widths = edge_table(system.mesh, times)[1]
+        x, node_t, *rest = fresh_points(system, times, kinks, True)
         np.testing.assert_array_equal(x[::-1], -x)
         np.testing.assert_array_equal(node_t[::-1], node_t)
         assert x[x.size // 2:].min() > 0.0
-        plain = projection_points(system.mesh, system._proj_rule, times, kinks,
-                                  False)
+        plain = fresh_points(system, times, kinks)
         assert sorted(zip(x, node_t)) == sorted(zip(plain[0], plain[1]))
         odd = lambda x, t: np.exp(x) * (1.0 + t)
         np.testing.assert_array_equal(
-            cell_moments(odd(x, node_t), *rest, system._sq),
-            cell_moments(odd(plain[0], plain[1]), *plain[2:], system._sq))
+            cell_moments(odd(x, node_t), *rest, widths, system._sq),
+            cell_moments(odd(plain[0], plain[1]), *plain[2:], widths, system._sq))
 
     def test_odd_cell_counts_evaluate_every_node(self):
         # no edge at 0: the middle cell straddles it, and f sees every node
@@ -665,7 +743,7 @@ class TestMirroredSources:
         f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
         times = 0.3 + _C[1:] * 0.05
         system.project_function(times, f, None, True)
-        full = projection_points(system.mesh, system._proj_rule, times, None, False)[0]
+        full = fresh_points(system, times)[0]
         assert sizes == [full.size]
 
     @pytest.mark.parametrize("kind", ["square-source", "gaussian-source"])
