@@ -72,18 +72,6 @@ class SourceSpec:
 # Uncollided scalar fluxes.
 
 
-def _per_run(f, t):
-    """f(t) evaluated once per run of equal values in t: a batched
-    projection passes each time's nodes as one run, so a function of time
-    alone runs once per time."""
-    flat = t.ravel()
-    if flat.size < 2:
-        return f(t)
-    start = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    counts = np.diff(np.append(start, flat.size))
-    return np.repeat(f(flat[start]), counts).reshape(t.shape)
-
-
 def phi_u_plane(x, t):
     """Uncollided flux of a unit plane pulse fired at the origin at t = 0."""
     t = np.asarray(t, dtype=float)
@@ -142,7 +130,12 @@ def phi_u_square_source(x, t, x0, t0):
     d = np.maximum(np.minimum(np.minimum(t0, t), t - ax + x0), 0.0)
     b = np.maximum(np.minimum(d, t - ax - x0), 0.0)
     cc = np.maximum(np.minimum(d, t + ax - x0), 0.0)
-    ei_0 = _per_run(lambda s: expi(-s), t)
+    # Ei(-t) once per run of equal times: a batched projection passes each
+    # time's nodes as one run (np.unique's sort cost more time and memory)
+    flat = t.ravel()
+    starts = np.ones(flat.size, dtype=bool)
+    starts[1:] = flat[1:] != flat[:-1]
+    ei_0 = expi(-flat[starts])[np.cumsum(starts) - 1].reshape(t.shape)
     # Where b or cc is 0, the Ei argument is exactly -t: Ei runs only on
     # the other points.
     ei_b = np.array(ei_0)
@@ -158,8 +151,9 @@ def phi_u_square_source(x, t, x0, t0):
     with np.errstate(invalid="ignore"):
         # t <= 0 gives Ei(0) = -inf in the unused terms
         term_inner = -x0 * (ei_b - ei_0)
-        term_mid = 0.5 * ((ax - x0) * (ei_c - ei_b) + np.exp(arg_c) - np.exp(b - t))
-    term_outer = np.exp(d - t) - np.exp(arg_c)
+        exp_c = np.exp(arg_c)
+        term_mid = 0.5 * ((ax - x0) * (ei_c - ei_b) + exp_c - np.exp(b - t))
+    term_outer = np.exp(d - t) - exp_c
     return np.where(d > 0.0, term_inner + term_mid + term_outer, 0.0)
 
 
@@ -311,8 +305,9 @@ def volumetric_source(spec: SourceSpec, x, t):
 
 def kink_radii(spec: SourceSpec, t, uncollided: bool):
     """(T, R) table of the |x| where the driving source loses smoothness at
-    each of the times t >= 0 (1-d): row i holds time i's radii in
-    increasing order, NaN where a radius is absent.
+    each of the times t >= 0 (1-d): one column per front, NaN where the
+    front is absent.  The columns are neither sorted nor distinct: the
+    projection's panel plan orders the breaks and keeps each tie once.
 
     Projection quadrature splits cells there so each piece is smooth.
     """
@@ -328,14 +323,10 @@ def kink_radii(spec: SourceSpec, t, uncollided: bool):
         return np.hstack([np.abs(t - x0), t + x0])
     # square source: the source edge x0, its fronts t -+ x0 and, once the
     # source is off (t > t0), its shut-off fronts t - t0 -+ x0; of these
-    # only r > 0, each radius once
+    # only r > 0
     after = np.where(t > spec.t0, t - spec.t0, np.nan)
-    fronts = [np.full(t.shape, x0), t + x0, t - x0, after - x0, after + x0]
-    radii = np.abs(np.hstack(fronts))
-    radii = np.where(radii > 0.0, radii, np.nan)
-    radii.sort(axis=1)
-    radii[:, 1:][radii[:, 1:] == radii[:, :-1]] = np.nan
-    return radii
+    radii = np.abs(np.hstack([np.full(t.shape, x0), t + x0, t - x0, after - x0, after + x0]))
+    return np.where(radii > 0.0, radii, np.nan)
 
 
 # ---------------------------------------------------------------------------

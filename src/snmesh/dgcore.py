@@ -18,13 +18,11 @@ direction and cell, or by cell alone, so each broadcasts over a long inner
 loop instead of over the J = order + 1 moments.  Every element sees the
 floating-point operations an (N, K, J) assembly would apply, in the same
 order.  The mesh factors and the source moments depend on time alone: one
-step attempt computes them for all its stage times from one edge table
-(once per solve on a static mesh).
+step attempt computes them for all its stage times from one edge table.
 """
 
 import time
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -229,11 +227,8 @@ class TransportSystem:
         self._odd_speed = 2.0 * self.mu[:, None] - (vel[:-1] + vel[1:])[None, :]
         self._rel = self.mu[:, None] - vel[None, :]
         self._upwind_left = self._rel > 0.0
-        # a static mesh has one set of factors for the whole solve
-        self._static_factors = None if vel.any() else self._mesh_factors(
-            edge_table(self.mesh, np.zeros(1))[1])[0]
-        # and one projection of a standard-mode source: constant while it
-        # is on, t <= t0, and zero after
+        # a static mesh has one projection of a standard-mode source:
+        # constant while it is on, t <= t0, and zero after
         self._static_source = None
         if not (self._uncollided or vel.any()) and self.spec.kind in SOURCE_KINDS:
             self._static_source = self._volumetric_moments(np.array([self.spec.t0]))[0]
@@ -325,8 +320,6 @@ class TransportSystem:
 
     def _stage_terms(self, times):
         """(source moments, mesh factors) of the RHS at each of the times."""
-        if self._static_factors is not None:
-            return zip(self.source_moments(times), repeat(self._static_factors))
         table = edge_table(self.mesh, times)
         return zip(self.source_moments(times, table), self._mesh_factors(table[1]))
 
@@ -345,10 +338,9 @@ class TransportSystem:
         shape = (cfg.n_angles, cfg.n_cells, cfg.order + 1)
         if self._uncollided:
             return SolutionState(np.zeros(shape), self.t_start)
-        kinks = plane_w = None
-        if self.spec.kind == "square-pulse":
-            kinks = np.array([[self.spec.x0]])
-        elif self.spec.kind == "plane-pulse":
+        kinks = analytic.kink_radii(self.spec, [self.t_start], uncollided=False)
+        plane_w = None
+        if self.spec.kind == "plane-pulse":
             # The delta initial condition becomes a box as wide as the cells
             # meeting at the origin: exactly representable, and halved with
             # the cells, so the standard treatment converges toward the point
@@ -433,8 +425,8 @@ class TransportSystem:
 
     def advance(self, state: SolutionState, t_target: float):
         """Integrate the state to t_target; returns (state, stats)."""
-        at_start = state.t <= self.t_start
-        first = T_START_EPS if (at_start and self.t_start > 0.0) else None
+        at_start = state.t <= self.t_start and self.t_start > 0.0
+        first = min(T_START_EPS, t_target - state.t) if at_start else None
         try:
             y, stats = integrate(
                 self.rhs_flat, state.coeffs.ravel(), state.t, t_target,

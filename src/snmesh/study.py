@@ -117,6 +117,8 @@ def run_convergence(
     values = sorted(int(v) for v in values)
     if not values:
         raise ValueError("the sweep needs at least one value")
+    if len(set(values)) < len(values):
+        raise ValueError(f"the sweep values must be distinct, got {values}")
     cells, orders = (values, [fixed]) if sweep == "cells" else ([fixed], values)
     if min(cells) < 1 or min(orders) < 0:
         raise ValueError("the sweep needs cells >= 1 and order >= 0")

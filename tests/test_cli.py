@@ -396,6 +396,19 @@ def test_empty_sweep_fails_before_the_reference(tmp_path, monkeypatch, capsys, s
     assert calls == [] and not out.exists()
 
 
+def test_duplicate_sweep_values_fail_before_the_reference(tmp_path, monkeypatch, capsys):
+    # a repeated value would solve its point twice and weigh it double in
+    # the fit: exit 2, no output, no oracle work
+    calls = []
+    monkeypatch.setattr(study, "reference_solution", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "out"
+    rc = main(["converge", "--preset", "gaussian-pulse", "--sweep", "order",
+               "--values", "2,2,3", "--out-dir", str(out)])
+    assert rc == 2
+    assert "must be distinct" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -419,6 +419,19 @@ class TestBatchedSourceMoments:
         for tt, want in zip(times, cold):
             np.testing.assert_array_equal(system.rhs_coeffs(tt, u), want)
 
+    @pytest.mark.parametrize("kind,mode", [("gaussian-pulse", "standard"),
+                                           ("square-source", "uncollided")])
+    def test_static_mesh_stage_factors_are_those_of_t0(self, kind, mode):
+        # a static mesh takes the batch path: every time's mesh factors
+        # are the ones at t = 0, bit for bit
+        cfg = make_config(kind=kind, mode=mode, mesh="static", K=8, M=3, N=4,
+                          x0=0.5, t0=1.0)
+        system = TransportSystem(cfg)
+        want = next(system._stage_terms(np.zeros(1)))[1]
+        for _, factors in system._stage_terms(0.45 + _C[1:] * 0.1):
+            for a, b in zip(factors, want):
+                assert a.tobytes() == b.tobytes()
+
     def test_advance_leaves_no_prepared_sources(self):
         cfg = make_config(kind="square-source", mode="uncollided", mesh="static",
                           K=4, M=2, N=4, t_final=0.2)
@@ -473,6 +486,24 @@ class TestPanelPlan:
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
         assert 0 < reused < 59
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_kink_columns_permuted_or_duplicated_give_the_same_points(self, mirror):
+        # the plan alone orders the breaks and keeps each tie once, so the
+        # kink table's column order and repeated radii do not matter; t = 2
+        # x0 ties |t - x0| with x0, and t > t0 fills every column
+        cfg = make_config(kind="square-source", mode="uncollided", mesh="moving",
+                          K=8, M=3, N=4, x0=0.5, t0=1.0)
+        system = TransportSystem(cfg)
+        for times in (np.array([0.3, 1.0, 1.2]), 0.95 + _C[1:] * 0.1):
+            kinks = an.kink_radii(system.spec, times, True)
+            want = fresh_points(system, times, kinks, mirror)
+            variants = (kinks[:, ::-1], np.roll(kinks, 2, axis=1),
+                        np.hstack([kinks, kinks[:, :2]]), np.repeat(kinks, 2, axis=1))
+            for other in variants:
+                got = fresh_points(system, times, other, mirror)
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
 
     def test_midpoint_rounding_to_zero_rebuilds_a_mirror_plan(self):
         # the panel (-5e-324, 0) has the midpoint -0.0, so it goes above 0
@@ -910,6 +941,22 @@ class TestSolveDriver:
                             lambda state, t: (targets.append(t), advance(state, t))[1])
         res = system.solve()
         assert targets == [0.3, 0.6] and res.state.t == 0.6
+
+    @pytest.mark.parametrize("kind,mesh,t_final,t0", [
+        ("square-source", "moving", 1.5e-10, 1.0),
+        ("square-source", "moving", 1e-3, 1.5e-10),
+        ("square-pulse", "moving", 1.5e-10, 1.0),
+        ("plane-pulse", "moving", 1.00000005e-5, 1.0),
+        ("plane-pulse", "static", 1.00000005e-5, 1.0),
+    ])
+    def test_deferred_start_shorter_than_its_first_step(self, kind, mesh, t_final, t0):
+        # a span (or a source's on-time) past the deferred start shorter
+        # than T_START_EPS is the first step's size
+        cfg = make_config(kind=kind, mesh=mesh, mode="uncollided", K=4, M=1, N=4,
+                          x0=0.5, t0=t0, t_final=t_final)
+        res = TransportSystem(cfg).solve()
+        assert res.state.t == t_final
+        assert np.isfinite(res.state.coeffs).all()
 
     def test_variant_label(self):
         cfg = make_config(mesh="moving", mode="uncollided")
