@@ -295,8 +295,9 @@ def reference_solution(
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     # The floor keeps order sweeps at small fixed K honest: without it the
     # oracle for a K=4 study would sit at 16 cells, whose self-convergence
-    # misses the smooth-problem gate.
-    k_ref = _hybrid_safe(max(ORACLE_CELL_FACTOR * study_max_cells, ORACLE_MIN_CELLS))
+    # misses the smooth-problem gate.  k_ref is a multiple of 4, as the
+    # square sources' hybrid mesh needs; its half may not be.
+    k_ref = max(ORACLE_CELL_FACTOR * study_max_cells, ORACLE_MIN_CELLS)
     k_half = _hybrid_safe(k_ref // 2)
     n_ref = ORACLE_ANGLE_FACTOR * study_angles
     limit = GATE_LIMITS[spec.kind]
@@ -332,11 +333,9 @@ def reference_solution(
             f"oracle self-convergence {gate_spatial:.3e} exceeds the "
             f"{spec.kind} gate {limit:.1e} (cells {k_half} vs {k_ref})"
         )
-    gate_angular = 0.0
-    if study_angles < n_ref:
-        phi_coarse_n = _oracle_solve(
-            oracle_config(ORACLE_ORDER, k_ref, study_angles), grid, cache_dir
-        )
-        gate_angular = rmse(phi_ref, phi_coarse_n)
+    phi_coarse_n = _oracle_solve(
+        oracle_config(ORACLE_ORDER, k_ref, study_angles), grid, cache_dir
+    )
+    gate_angular = rmse(phi_ref, phi_coarse_n)
     gate = max(gate_spatial, gate_angular)
     return ReferenceSolution(phi_ref, gate, gate_spatial, gate_angular, "oracle")

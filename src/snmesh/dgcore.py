@@ -205,9 +205,10 @@ class TransportSystem:
         self._uncollided = config.source_mode == "uncollided"
         self._reflect_left = config.half_domain
         # source moments and mesh factors of the current step attempt, keyed
-        # by stage time; the last panel plan of each projection layout
+        # by stage time; the last panel plan, in mirror order on a
+        # mirror-symmetric mesh, whatever the profile's parity
         self._prepared = {}
-        self._plans = {}
+        self._plan = None
         # The per-cell gradient and motion matrices are fixed index patterns
         # scaled by cell width and edge speeds, so the volume terms reduce to
         # two shared (J, J) products plus per-cell scalings (see rhs_coeffs).
@@ -259,12 +260,11 @@ class TransportSystem:
         == f(x, t) bit for bit, sees only the nodes x > 0 on a
         mirror-symmetric mesh."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        mirror = even and self._mirrored
         edges, widths = edge_table(self.mesh, times) if table is None else table
-        plan, (x, node_t, wts, bins, z) = projection_points(
-            self._plans.get(mirror), edges, kinks, times, self._proj_rule, mirror)
-        self._plans[mirror] = plan
-        values = mirrored_values(f, x, node_t) if mirror else f(x, node_t)
+        self._plan, (x, node_t, wts, bins, z) = projection_points(
+            self._plan, edges, kinks, times, self._proj_rule, self._mirrored)
+        values = (mirrored_values(f, x, node_t) if even and self._mirrored
+                  else f(x, node_t))
         return cell_moments(values, wts, bins, z, widths, self._sq)
 
     def source_moments(self, times, table=None):

@@ -10,18 +10,19 @@ for bit, the values of one-time projections.
 The panel geometry comes in two steps.  A ``PanelPlan`` holds what depends
 only on the order of the batch's breaks: which kinks lie inside, the sort
 and the ties kept, the break indices at each panel's ends, each panel's
-time and cell, and the mirror order; integers only.  ``PanelPlan.apply``
-computes from the break values what depends on them: panel midpoints and
-half-widths, nodes, weights, reference coordinates and node times, and the
-cell of a panel so narrow that its midpoint rounds onto its right edge.  A
-plan holds for the next batch of as many times as long as the breaks of
-each time keep their order, rising where they rose and tying where they
-tied: a fresh sort would then give the same plan, so a step attempt that
-moves no kink past an edge reuses the last attempt's plan.
+time and cell, and the mirror order, taken from the cell; integers only.
+``PanelPlan.apply`` computes from the break values what depends on them:
+panel midpoints and half-widths, nodes, weights, reference coordinates and
+node times, and the cell of a panel so narrow that its midpoint rounds
+onto its right edge.  A plan holds for the next batch of as many times as
+long as the breaks of each time keep their order, rising where they rose
+and tying where they tied: a fresh sort would then give the same plan, so
+a step attempt that moves no kink past an edge reuses the last attempt's
+plan, and ``apply`` always returns its points.
 
 On a mesh whose edges and edge velocities are exactly antisymmetric, with
-an edge at 0, the panels below 0 mirror those above it exactly, so a
-function even in x needs its values on the nodes x > 0 only.
+an edge at 0, the panels of the cells left of 0 mirror those right of it
+exactly, so a function even in x needs its values on the nodes x > 0 only.
 """
 
 import numpy as np
@@ -54,10 +55,10 @@ class PanelPlan:
     """The panels of a batch's breaks (see ``breaks``) as integers: panels
     join consecutive breaks of one time, sorted by (time, x) with ties kept
     once, an edge before a kink.  With ``mirror``, on a mirror-symmetric
-    mesh with an edge at 0, the panels below 0 come first, the times in
-    reverse, then those above 0: the node positions are then the exact
-    negative of their reverse (see mirrored_values).  Each bin keeps its
-    nodes in order either way."""
+    mesh with an edge at 0, the panels of the cells left of that edge come
+    first, the times in reverse, then those of the cells right of it: the
+    node positions are then the exact negative of their reverse (see
+    mirrored_values).  Each bin keeps its nodes in order either way."""
 
     def __init__(self, brk, inside, shape, mirror):
         n_times, n_edges = self.shape = shape
@@ -86,17 +87,13 @@ class PanelPlan:
         # the edges at or below the panel's left break
         below = np.cumsum(is_edge)[left] - self.owner * n_edges
         self.cell = np.clip(below - 1, 0, n_edges - 2) + self.owner * n_edges
-        self.negative = None
         if mirror:
-            self.negative = self._midpoints(brk)[0] < 0.0
-            side = np.where(self.negative, n_times - 1 - self.owner, n_times + self.owner)
+            # the edge at 0 is the middle one, n_edges // 2
+            left_of_0 = self.cell - self.owner * n_edges < n_edges // 2
+            side = np.where(left_of_0, n_times - 1 - self.owner, n_times + self.owner)
             perm = np.argsort(side, kind="stable")
-            for name in ("lo", "hi", "owner", "hi_edge", "cell", "negative"):
+            for name in ("lo", "hi", "owner", "hi_edge", "cell"):
                 setattr(self, name, getattr(self, name)[perm])
-
-    def _midpoints(self, brk):
-        a, b = brk[self.lo], brk[self.hi]
-        return 0.5 * (a + b), 0.5 * (b - a), b
 
     def fits(self, brk, inside):
         """Whether the breaks of a batch of as many times keep the order
@@ -114,11 +111,9 @@ class PanelPlan:
     def apply(self, brk, times, rule):
         """Nodes of the quadrature rule on every panel, flat, time by time:
         position x, time, weight, (time, cell) bin and reference coordinate
-        z; None if, in a mirror plan, a midpoint is no longer on the side
-        of 0 the mirror order put it (one that rounds to 0 counts as above)."""
-        mid, half, b = self._midpoints(brk)
-        if self.negative is not None and not np.array_equal(mid < 0.0, self.negative):
-            return None
+        z."""
+        a, b = brk[self.lo], brk[self.hi]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
         cell = self.cell
         # a midpoint that rounds onto an edge on the right is in the next cell
         onto = (mid == b) & self.hi_edge
@@ -139,22 +134,18 @@ class PanelPlan:
 def projection_points(plan, edges, kinks, times, rule, mirror):
     """Nodes of ``rule`` on the panels of every cell at each time, the cells
     split at the radii of the (T, R) kink table: (plan, (x, node_t, wts,
-    bins, z)), through ``plan`` if it still holds, else through the new
+    bins, z)), through ``plan`` if it fits the breaks, else through the new
     plan returned."""
     brk, inside = breaks(edges, kinks)
-    points = None
-    if plan is not None and plan.fits(brk, inside):
-        points = plan.apply(brk, times, rule)
-    if points is None:
+    if plan is None or not plan.fits(brk, inside):
         plan = PanelPlan(brk, inside, edges.shape, mirror)
-        points = plan.apply(brk, times, rule)
-    return plan, points
+    return plan, plan.apply(brk, times, rule)
 
 
 def mirrored_values(f, x, node_t):
     """f(x, t) at nodes laid out by a mirror plan, for f even in x bit for
-    bit: f runs once, on the upper half of the nodes (x > 0), and the lower
-    half takes their values in reverse."""
+    bit: f runs once, on the upper half of the nodes (those of the cells
+    right of 0), and the lower half takes their values in reverse."""
     half = x.size // 2
     upper = f(x[half:], node_t[half:])
     return np.concatenate([upper[::-1], upper])

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snmesh import analytic as an
 from snmesh.analytic import SourceSpec
@@ -31,8 +32,11 @@ from snmesh.dgcore import (
     start_time,
 )
 from snmesh.integrate import _C, IntegrationError
-from snmesh.mesh import edge_table
-from snmesh.projection import breaks, cell_moments, projection_points
+from snmesh.mesh import (edge_table, hybrid_square_mesh, radial_mesh,
+                         static_square_mesh, static_uniform_mesh)
+from snmesh.projection import (breaks, cell_moments, mirror_symmetric,
+                               mirrored_values, projection_points)
+from snmesh.quadrature import gauss_legendre
 
 from cell_matrices import gradient_matrices, motion_matrices
 
@@ -459,9 +463,9 @@ class TestPanelPlan:
         assert system._mirrored
         reused = rebuilt = 0
         for times in batches:
-            before = system._plans.get(True)
+            before = system._plan
             got = system.source_moments(times)
-            after = system._plans[True]
+            after = system._plan
             reused += after is before
             rebuilt += before is not None and after is not before
             want = np.stack([per_time_source(system, tt) for tt in times])
@@ -505,20 +509,42 @@ class TestPanelPlan:
                 for a, b in zip(got, want):
                     assert a.tobytes() == b.tobytes()
 
-    def test_midpoint_rounding_to_zero_rebuilds_a_mirror_plan(self):
-        # the panel (-5e-324, 0) has the midpoint -0.0, so it goes above 0
-        # in the mirror order, as in a fresh plan, though no break moved
+    def test_denormal_kink_keeps_the_plan_and_the_mirror(self):
+        # the panel (-5e-324, 0) has the midpoint -0.0; its cell, left of
+        # the edge at 0, still puts it below 0 in the mirror order, so the
+        # plan holds and mirrored values land on the nodes they belong to
         cfg = make_config(kind="gaussian-pulse", mesh="static", K=4, M=2, N=4)
         system = TransportSystem(cfg)
         times = np.array([0.3, 0.4])
-        edges, _ = edge_table(system.mesh, times)
+        edges, widths = edge_table(system.mesh, times)
         rule = system._proj_rule
         plan, _ = projection_points(None, edges, np.full((2, 1), 1e-3), times, rule, True)
         tiny = np.full((2, 1), 5e-324)
         again, got = projection_points(plan, edges, tiny, times, rule, True)
         want = projection_points(None, edges, tiny, times, rule, True)[1]
-        assert plan.fits(*breaks(edges, tiny)) and again is not plan
+        assert again is plan
         for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        f = lambda x, t: np.exp(-x * x) * (1.0 + t)
+        mirrored = system.project_function(times, f, tiny, True)
+        plain = system.project_function(times, f, tiny)
+        assert mirrored.tobytes() == plain.tobytes()
+
+    def test_a_kink_moving_to_another_column_rebuilds(self):
+        # as many breaks, but the inside mask differs: the plan does not fit
+        cfg = make_config(kind="gaussian-pulse", mesh="static", K=4, M=2, N=4)
+        system = TransportSystem(cfg)
+        times = np.array([0.3, 0.4])
+        edges, _ = edge_table(system.mesh, times)
+        rule = system._proj_rule
+        first = np.array([[0.1, np.nan], [0.1, np.nan]])
+        moved = np.array([[0.1, np.nan], [np.nan, 0.1]])
+        plan, _ = projection_points(None, edges, first, times, rule, True)
+        brk, inside = breaks(edges, moved)
+        assert brk.size == plan.size and not plan.fits(brk, inside)
+        again, got = projection_points(plan, edges, moved, times, rule, True)
+        assert again is not plan
+        for a, b in zip(got, projection_points(None, edges, moved, times, rule, True)[1]):
             assert a.tobytes() == b.tobytes()
 
 
@@ -642,6 +668,44 @@ class TestMomentMajorRhs:
         assert calls and system._prepared == {}
 
 
+MIRROR_LAWS = {
+    "static": lambda K, x0: static_uniform_mesh(K, 1.0 + x0),
+    "static-square": lambda K, x0: static_square_mesh(K, x0, 1.0 + x0),
+    "radial": radial_mesh,
+    "hybrid": hybrid_square_mesh,
+}
+# radii where rounding is at its edge: zero, denormals, the smallest
+# normal; NaN marks an absent kink
+ODD_RADII = [0.0, 5e-324, 1e-323, 1e-320, 2.2250738585072014e-308, np.nan]
+
+
+@st.composite
+def mirror_cases(draw):
+    """A mirror-symmetric mesh at even K, a batch of times and a (T, R) kink
+    table whose radii may be denormal, NaN, or tie with (or sit an ulp
+    inside) an edge of their time."""
+    law = draw(st.sampled_from(sorted(MIRROR_LAWS)))
+    K = draw(st.sampled_from([4, 8, 12]) if law == "hybrid"
+             else st.integers(1, 6).map(lambda n: 2 * n))
+    mesh = MIRROR_LAWS[law](K, draw(st.floats(0.05, 1.0)))
+    # hybrid cells start at zero width; the solver starts them at 1e-10
+    times = np.array(draw(st.lists(st.floats(1e-10, 2.0), min_size=1, max_size=3)))
+    edges, widths = edge_table(mesh, times)
+    radius = st.one_of(
+        st.sampled_from(ODD_RADII), st.floats(0.0, 3.0),
+        st.tuples(st.sampled_from(["edge", "ulp"]), st.integers(0, K)))
+    cols = draw(st.integers(1, 4))
+    kinks = np.empty((times.size, cols))
+    for i in range(times.size):
+        for j in range(cols):
+            r = draw(radius)
+            if isinstance(r, tuple):
+                tie = abs(edges[i, r[1]])
+                r = np.nextafter(tie, 0.0) if r[0] == "ulp" else tie
+            kinks[i, j] = r
+    return mesh, times, edges, widths, kinks
+
+
 class TestMirroredSources:
     """Even profiles on a mirror-symmetric mesh run on the nodes x > 0 and
     are mirrored onto the rest, and a static mesh projects its standard
@@ -763,6 +827,20 @@ class TestMirroredSources:
         np.testing.assert_array_equal(
             cell_moments(odd(x, node_t), *rest, widths, system._sq),
             cell_moments(odd(plain[0], plain[1]), *plain[2:], widths, system._sq))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(mirror_cases(), st.sampled_from([1, 3, 8]))
+    def test_mirrored_equals_plain_on_every_mirror_mesh(self, case, n_nodes):
+        mesh, times, edges, widths, kinks = case
+        assert mirror_symmetric(mesh)
+        rule, sq = gauss_legendre(n_nodes), np.sqrt(2.0 * np.arange(4) + 1.0)
+        f = lambda x, t: np.exp(-x * x) * (1.0 + t) + np.abs(x) * t
+        x, node_t, *rest = projection_points(None, edges, kinks, times, rule, True)[1]
+        np.testing.assert_array_equal(x[::-1], -x)
+        plain = projection_points(None, edges, kinks, times, rule, False)[1]
+        want = cell_moments(f(plain[0], plain[1]), *plain[2:], widths, sq)
+        got = cell_moments(mirrored_values(f, x, node_t), *rest, widths, sq)
+        assert got.tobytes() == want.tobytes()
 
     def test_odd_cell_counts_evaluate_every_node(self):
         # no edge at 0: the middle cell straddles it, and f sees every node

@@ -76,6 +76,42 @@ def test_backwards_span_rejected():
         integrate(lambda t, y: -y, np.array([1.0]), 1.0, 0.5, RTOL, ATOL)
 
 
+@pytest.mark.parametrize("first_step", [0.0, -1e-3, 1.5, np.nan])
+def test_first_step_outside_the_span_rejected(first_step):
+    with pytest.raises(ValueError, match="first_step must lie in"):
+        integrate(lambda t, y: -y, np.array([1.0]), 0.0, 1.0, RTOL, ATOL, first_step)
+
+
+@pytest.mark.parametrize("y0,atol,match", [
+    (np.ones((2, 2)), ATOL, "one-dimensional"),
+    (np.array([1.0, np.nan]), ATOL, "finite"),
+    (np.array([np.inf]), ATOL, "finite"),
+    (np.array([1.0]), -1e-12, "atol must be non-negative"),
+])
+def test_invalid_state_or_atol_rejected(y0, atol, match):
+    with pytest.raises(ValueError, match=match):
+        integrate(lambda t, y: -y, y0, 0.0, 1.0, RTOL, atol)
+
+
+def test_rtol_under_the_floor_warns_and_is_raised():
+    rhs = lambda t, y: -y
+    with pytest.warns(UserWarning, match="under 100 eps"):
+        y, stats = integrate(rhs, np.array([1.0]), 0.0, 1.0, 1e-17, 1e-20)
+    want, want_stats = integrate(rhs, np.array([1.0]), 0.0, 1.0, stepper._MIN_RTOL, 1e-20)
+    assert y.tobytes() == want.tobytes() and stats == want_stats
+
+
+def test_step_size_underflow_raises_with_last_good_state():
+    # a jump of 1e30 at t = 0.5: every attempt across it fails the error
+    # test, whatever its size, until the step falls under 10 ulp of t
+    rhs = lambda t, y: np.full_like(y, 1e30 if t >= 0.5 else 1.0)
+    with pytest.raises(IntegrationError, match="step size underflow") as err:
+        integrate(rhs, np.array([2.0]), 0.0, 1.0, RTOL, ATOL)
+    t_last = err.value.t_last
+    assert 0.5 - 1e-12 < t_last < 0.5
+    np.testing.assert_allclose(err.value.y_last, [2.0 + t_last], rtol=1e-14)
+
+
 def test_step_budget_exhaustion_raises_with_state(monkeypatch):
     monkeypatch.setattr(stepper, "_MAX_STEPS", 3)
     with pytest.raises(IntegrationError, match="exceeded 3 steps") as err:
