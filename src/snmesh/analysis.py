@@ -270,35 +270,34 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
     return table[:, 1]
 
 
-def _hybrid_safe(k: int) -> int:
-    return k if k % 4 == 0 else k + (4 - k % 4)
-
-
 def reference_solution(
     spec: SourceSpec,
     t_final: float,
     grid: np.ndarray,
     study_max_cells: int,
     study_angles: int,
-    cache_dir=None,
 ) -> ReferenceSolution:
     """Reference scalar flux on the grid, with its trust gate.
 
     The manufactured problem has an exact reference (gate 0).  Everything else
     uses the uncollided moving-mesh solve at order 10 with four times the
-    study's cells and angles, gated by (a) its own spatial self-convergence
-    against a half-resolution twin and (b) the angular gap back to the study's
-    quadrature, so fits can drop points that saturate at either floor.
+    study's cells (rounded up to a multiple of 8, at least 32) and angles,
+    gated by (a) its own spatial self-convergence against a twin of exactly
+    half its cells and (b) the angular gap back to the study's quadrature, so
+    fits can drop points that saturate at either floor.  Oracle files live in
+    ``default_cache_dir()``.
     """
     if spec.kind == "mms":
         return ReferenceSolution(analytic.mms_phi(grid, t_final, spec.x0), 0.0, 0.0, 0.0, "exact")
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    cache_dir = default_cache_dir()
     # The floor keeps order sweeps at small fixed K honest: without it the
     # oracle for a K=4 study would sit at 16 cells, whose self-convergence
-    # misses the smooth-problem gate.  k_ref is a multiple of 4, as the
-    # square sources' hybrid mesh needs; its half may not be.
+    # misses the smooth-problem gate.  k_ref is a multiple of 8, so both it
+    # and its twin's k_ref // 2 split into quarters, as the square sources'
+    # hybrid mesh needs.
     k_ref = max(ORACLE_CELL_FACTOR * study_max_cells, ORACLE_MIN_CELLS)
-    k_half = _hybrid_safe(k_ref // 2)
+    k_ref += -k_ref % 8
+    k_half = k_ref // 2
     n_ref = ORACLE_ANGLE_FACTOR * study_angles
     limit = GATE_LIMITS[spec.kind]
     # Stepper tolerance keyed to the trust gate: integrating a reference whose
@@ -311,11 +310,11 @@ def reference_solution(
     # k-cell full solve while halving the dominant wavefront-transient cost.
     half = spec.kind == "plane-pulse"
 
-    def oracle_config(order, k, n):
+    def oracle_config(k, n):
         return RunConfig(
             spec=spec,
             n_angles=n,
-            order=order,
+            order=ORACLE_ORDER,
             n_cells=k // 2 if half else k,
             mesh_mode="moving",
             source_mode="uncollided",
@@ -325,17 +324,15 @@ def reference_solution(
             half_domain=half,
         )
 
-    phi_ref = _oracle_solve(oracle_config(ORACLE_ORDER, k_ref, n_ref), grid, cache_dir)
-    phi_half = _oracle_solve(oracle_config(ORACLE_ORDER, k_half, n_ref), grid, cache_dir)
+    phi_ref = _oracle_solve(oracle_config(k_ref, n_ref), grid, cache_dir)
+    phi_half = _oracle_solve(oracle_config(k_half, n_ref), grid, cache_dir)
     gate_spatial = rmse(phi_ref, phi_half)
     if gate_spatial > limit:
         raise OracleGateError(
             f"oracle self-convergence {gate_spatial:.3e} exceeds the "
             f"{spec.kind} gate {limit:.1e} (cells {k_half} vs {k_ref})"
         )
-    phi_coarse_n = _oracle_solve(
-        oracle_config(ORACLE_ORDER, k_ref, study_angles), grid, cache_dir
-    )
+    phi_coarse_n = _oracle_solve(oracle_config(k_ref, study_angles), grid, cache_dir)
     gate_angular = rmse(phi_ref, phi_coarse_n)
     gate = max(gate_spatial, gate_angular)
     return ReferenceSolution(phi_ref, gate, gate_spatial, gate_angular, "oracle")

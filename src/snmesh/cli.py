@@ -19,7 +19,8 @@ from .analysis import (SOLUTION_COLUMNS, OracleGateError, analysis_grid, solutio
                        write_csv, write_manifest)
 from .dgcore import MESH_MODES, SOURCE_MODES, TransportSystem
 from .integrate import IntegrationError
-from .presets import DEFAULTS, config_from_settings, preset_names, preset_settings
+from .presets import (DEFAULTS, config_from_settings, preset_names, preset_settings,
+                      spec_from_settings)
 from .study import VARIANTS, run_convergence, run_scalecheck
 
 # The problem parameters, one row each: config-file key, flag spellings,
@@ -129,7 +130,7 @@ def cmd_converge(args):
         values = (2, 4, 8, 16) if args.sweep == "cells" else (2, 4, 6, 8)
     fixed = settings["order"] if args.sweep == "cells" else settings["cells"]
     study = run_convergence(
-        config_from_settings(settings).spec,
+        spec_from_settings(settings),
         sweep=args.sweep,
         values=values,
         fixed=fixed,
@@ -183,15 +184,8 @@ def cmd_converge(args):
 
 def cmd_scalecheck(args):
     settings = gather_settings(args)
-    variant = args.variant or "uncollided+moving"
-    report = run_scalecheck(
-        config_from_settings(settings).spec,
-        t_benchmark=settings["t_final"],
-        order=settings["order"],
-        n_cells=settings["cells"],
-        n_angles=settings["angles"],
-        variant=variant,
-    )
+    config = config_from_settings(settings)
+    report = run_scalecheck(config)
     _write_outputs(
         args, settings, "scalecheck.csv",
         ("x", "phi_direct", "phi_scaled", "abs_diff"),
@@ -201,8 +195,8 @@ def cmd_scalecheck(args):
             report.phi_scaled,
             np.abs(report.phi_direct - report.phi_scaled),
         ),
-        variant=variant,
-        t_benchmark=settings["t_final"],
+        variant=config.variant,
+        t_benchmark=config.t_final,
         t_scaled=report.t_scaled,
         max_abs_diff=report.max_abs_diff,
         integrator={k: _stats_payload(v) for k, v in report.stats.items()},
@@ -257,7 +251,6 @@ def build_parser():
         "scalecheck", help="scattering-ratio scaling identity check"
     )
     _add_parameter_flags(p_scale)
-    p_scale.add_argument("--variant", help="method variant, default uncollided+moving")
     p_scale.set_defaults(func=cmd_scalecheck)
 
     return parser

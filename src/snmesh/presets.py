@@ -44,9 +44,9 @@ def preset_settings(name: str) -> dict:
     return {**DEFAULTS, **_STUDY, **PRESETS[name]}
 
 
-def config_from_settings(settings: dict) -> RunConfig:
-    """The run a settings dict with every key filled in describes."""
-    spec = SourceSpec(
+def spec_from_settings(settings: dict) -> SourceSpec:
+    """The problem a settings dict with every key filled in describes."""
+    return SourceSpec(
         kind=settings["kind"],
         c=float(settings["c"]),
         x0=float(settings["x0"]),
@@ -54,8 +54,12 @@ def config_from_settings(settings: dict) -> RunConfig:
         t0=float(settings["t0"]),
         amplitude=float(settings["amplitude"]),
     )
+
+
+def config_from_settings(settings: dict) -> RunConfig:
+    """The run a settings dict with every key filled in describes."""
     return RunConfig(
-        spec=spec,
+        spec=spec_from_settings(settings),
         n_angles=int(settings["angles"]),
         order=int(settings["order"]),
         n_cells=int(settings["cells"]),

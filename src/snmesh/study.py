@@ -103,17 +103,16 @@ def run_convergence(
     n_angles: int,
     t_final: float,
     variants=VARIANTS,
-    cache_dir=None,
 ) -> ConvergenceStudy:
     """Resolution sweep (over cells at fixed order, or over order at fixed
     cells) for each requested method variant against one shared reference.
-    The manufactured problem runs ``standard+moving`` only."""
+
+    Every point's ``RunConfig`` is built before the reference; points that
+    ``variant_feasible`` rules out are recorded as skipped, and a study with
+    no point left to run raises ``ValueError``.
+    """
     if sweep not in ("cells", "order"):
         raise ValueError("sweep must be 'cells' or 'order'")
-    for variant in variants:
-        split_variant(variant)
-    if spec.kind == "mms":
-        variants = ("standard+moving",)
     values = sorted(int(v) for v in values)
     if not values:
         raise ValueError("the sweep needs at least one value")
@@ -122,30 +121,35 @@ def run_convergence(
     cells, orders = (values, [fixed]) if sweep == "cells" else ([fixed], values)
     if min(cells) < 1 or min(orders) < 0:
         raise ValueError("the sweep needs cells >= 1 and order >= 0")
-    grid = analysis_grid(spec, t_final)
-    ref = reference_solution(
-        spec, t_final, grid, max(cells), n_angles, cache_dir=cache_dir
-    )
-    records = {}
+    runs, skipped = {}, {}  # variant -> {value: RunConfig}, and its skipped values
     for variant in variants:
         source_mode, mesh_mode = split_variant(variant)
-        points, skipped = [], []
+        runs[variant], skipped[variant] = {}, []
         for value in values:
-            order = value if sweep == "order" else fixed
             n_cells = value if sweep == "cells" else fixed
             if not variant_feasible(spec, variant, n_cells):
-                skipped.append(value)
+                skipped[variant].append(value)
                 continue
-            config = RunConfig(
+            runs[variant][value] = RunConfig(
                 spec=spec,
                 n_angles=n_angles,
-                order=order,
+                order=value if sweep == "order" else fixed,
                 n_cells=n_cells,
                 mesh_mode=mesh_mode,
                 source_mode=source_mode,
                 t_final=t_final,
             )
-            points.append(_solve_point(config, value, grid, ref.phi))
+    if not any(runs.values()):
+        raise ValueError(
+            f"none of the variants {', '.join(variants)} can run {spec.kind} "
+            f"at {sweep} {values}"
+        )
+    grid = analysis_grid(spec, t_final)
+    ref = reference_solution(spec, t_final, grid, max(cells), n_angles)
+    records = {}
+    for variant, configs in runs.items():
+        points = [_solve_point(config, value, grid, ref.phi)
+                  for value, config in configs.items()]
         fit = None
         if len(points) >= 2:
             vals = [p.value for p in points]
@@ -154,7 +158,7 @@ def run_convergence(
                 fit = fit_algebraic(vals, errs, ref.gate)
             else:
                 fit = fit_spectral(vals, errs, ref.gate)
-        records[variant] = VariantRecord(points, fit, skipped)
+        records[variant] = VariantRecord(points, fit, skipped[variant])
     return ConvergenceStudy(ref, records)
 
 
@@ -172,35 +176,19 @@ class ScaleCheckResult:
     stats: dict  # "benchmark" / "direct" -> that solve's IntegrationStats
 
 
-def run_scalecheck(
-    spec: SourceSpec,
-    t_benchmark: float,
-    order: int,
-    n_cells: int,
-    n_angles: int,
-    variant: str = "uncollided+moving",
-) -> ScaleCheckResult:
-    """Solve a c != 1 pulse directly and via the scaled c = 1 benchmark.
+def run_scalecheck(config: RunConfig) -> ScaleCheckResult:
+    """Solve a c != 1 pulse directly and via the scaled c = 1 benchmark, both
+    at ``config``'s resolution and variant, with ``config.t_final`` the
+    benchmark's time.
 
     The direct problem uses widths stretched by 1/c, runs to t/c, and its
     initial amplitude carries a factor c, which makes the two routes agree
     exactly in the continuum limit.
     """
-    source_mode, mesh_mode = split_variant(variant)
-    scaled_spec, t_scaled = scaled_parameters(spec, t_benchmark)
-    benchmark_spec = replace(spec, c=1.0)
-
-    common = dict(
-        n_angles=n_angles,
-        order=order,
-        n_cells=n_cells,
-        mesh_mode=mesh_mode,
-        source_mode=source_mode,
-    )
-    bench_sys = TransportSystem(
-        RunConfig(spec=benchmark_spec, t_final=t_benchmark, **common)
-    )
-    direct_sys = TransportSystem(RunConfig(spec=scaled_spec, t_final=t_scaled, **common))
+    spec = config.spec
+    scaled_spec, t_scaled = scaled_parameters(spec, config.t_final)
+    bench_sys = TransportSystem(replace(config, spec=replace(spec, c=1.0)))
+    direct_sys = TransportSystem(replace(config, spec=scaled_spec, t_final=t_scaled))
 
     bench = bench_sys.solve()
     direct = direct_sys.solve()

@@ -32,6 +32,12 @@ CACHE = REPO / ".snmesh_cache"
 MINUTE = 60.0
 
 
+@pytest.fixture(autouse=True)
+def committed_cache(monkeypatch):
+    """Every oracle comes from the committed cache, whatever the cwd."""
+    monkeypatch.setenv("SNMESH_CACHE_DIR", str(CACHE))
+
+
 def report(num, label, ok, detail, elapsed, cap):
     line = "criterion %d [%s]: %s (%s; %.1fs of %.0fs cap)" % (
         num, label, "PASS" if ok and elapsed < cap else "FAIL", detail, elapsed, cap
@@ -73,7 +79,7 @@ def test_criterion_1_manufactured_spectral():
     t0 = time.perf_counter()
     spec = SourceSpec("mms", x0=0.1)
     out = run_convergence(spec, "order", [2, 4, 6, 8, 10], fixed=4,
-                          n_angles=32, t_final=1.0, cache_dir=CACHE)
+                          n_angles=32, t_final=1.0)
     rec = out.records["standard+moving"]
     c1 = rec.fit.rate
     errs = {p.value: p.rmse for p in rec.points}
@@ -105,7 +111,7 @@ def test_criterion_2_manufactured_algebraic():
     t0 = time.perf_counter()
     spec = SourceSpec("mms", x0=0.1)
     out = run_convergence(spec, "cells", [2, 4, 8, 16], fixed=2,
-                          n_angles=32, t_final=1.0, cache_dir=CACHE)
+                          n_angles=32, t_final=1.0)
     rate = out.records["standard+moving"].fit.rate
     ok = 2.5 <= rate <= 3.5
     report(2, "manufactured solution, mesh refinement at order 2", ok,
@@ -159,7 +165,9 @@ def test_criterion_5_scaling_identity():
     for kind in ("square-pulse", "gaussian-pulse"):
         for c in (0.8, 1.2):
             spec = SourceSpec(kind, c=c, x0=0.5, sigma=0.5)
-            out = run_scalecheck(spec, 1.0, order=6, n_cells=16, n_angles=64)
+            out = run_scalecheck(RunConfig(
+                spec=spec, n_angles=64, order=6, n_cells=16, mesh_mode="moving",
+                source_mode="uncollided", t_final=1.0))
             diffs["%s c=%.1f" % (kind, c)] = out.max_abs_diff
     worst = max(diffs.values())
     report(5, "scattering-ratio scaling identity", worst < 1e-5,
@@ -172,7 +180,7 @@ def test_criterion_6_square_source_ranking():
     t0 = time.perf_counter()
     spec = SourceSpec("square-source", c=1.0, x0=0.5, t0=5.0)
     out = run_convergence(spec, "cells", [2, 4, 8, 16], fixed=6,
-                          n_angles=64, t_final=1.0, cache_dir=CACHE)
+                          n_angles=64, t_final=1.0)
     inter = {v: r.fit.intercept for v, r in out.records.items() if r.fit}
     ordered = (
         inter["uncollided+moving"] < inter["uncollided+static"] < inter["standard+static"]
@@ -190,7 +198,7 @@ def test_criterion_7_plane_pulse_rates():
     rates, gains = {}, {}
     for order in (4, 6):
         out = run_convergence(spec, "cells", [2, 4, 8, 16], fixed=order,
-                              n_angles=256, t_final=1.0, cache_dir=CACHE)
+                              n_angles=256, t_final=1.0)
         for variant, rec in out.records.items():
             if rec.fit is not None:
                 rates["M=%d %s" % (order, variant)] = rec.fit.rate
@@ -208,7 +216,7 @@ def test_criterion_8_gaussian_variant_comparison():
     t0 = time.perf_counter()
     spec = SourceSpec("gaussian-pulse", c=1.0, sigma=0.5)
     out = run_convergence(spec, "order", [2, 4, 6, 8, 10], fixed=4,
-                          n_angles=64, t_final=1.0, cache_dir=CACHE)
+                          n_angles=64, t_final=1.0)
     best = "uncollided+moving"
     decay = {v: r.fit.rate for v, r in out.records.items()}
     decay_ok = all(r >= 0.6 for r in decay.values())

@@ -203,10 +203,11 @@ class TestWriter:
 class TestOracleCache:
     SPEC = SourceSpec(kind="gaussian-pulse", c=1.0, sigma=0.5)
 
-    def test_reference_gates_and_cache_roundtrip(self, tmp_path):
+    def test_reference_gates_and_cache_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SNMESH_CACHE_DIR", str(tmp_path))
         grid = analysis_grid(self.SPEC, 0.5)
         ref = reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
-                                 study_angles=4, cache_dir=tmp_path)
+                                 study_angles=4)
         assert ref.label == "oracle"
         assert 0.0 < ref.gate_spatial < GATE_LIMITS["gaussian-pulse"]
         assert ref.gate_angular > ref.gate_spatial  # N = 4 is very coarse
@@ -227,19 +228,20 @@ class TestOracleCache:
 
         before = {f: f.read_bytes() for f in files}
         ref2 = reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
-                                  study_angles=4, cache_dir=tmp_path)
+                                  study_angles=4)
         np.testing.assert_array_equal(ref.phi, ref2.phi)
         for f, blob in before.items():
             assert f.read_bytes() == blob
 
     def test_gate_limit_violation_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SNMESH_CACHE_DIR", str(tmp_path))
         grid = analysis_grid(self.SPEC, 0.5)
         reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
-                           study_angles=4, cache_dir=tmp_path)
+                           study_angles=4)
         monkeypatch.setitem(analysis.GATE_LIMITS, self.SPEC.kind, 1e-18)
         with pytest.raises(OracleGateError):
             reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
-                               study_angles=4, cache_dir=tmp_path)
+                               study_angles=4)
 
     def tiny_oracle(self):
         config = RunConfig(spec=self.SPEC, n_angles=2, order=1, n_cells=2,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from snmesh import study
-from snmesh.analysis import GRID_POINTS, OracleGateError, fit_spectral
+from snmesh.analysis import GRID_POINTS, OracleGateError, ReferenceSolution, fit_spectral
 from snmesh.cli import _PARAMETERS, build_parser, gather_settings, main, parse_config_file
 from snmesh.presets import preset_names, preset_settings
 
@@ -281,12 +281,33 @@ class TestScalecheck:
         rc = main([
             "scalecheck", "--kind", "gaussian-pulse", "--sigma", "0.5",
             "--c", "0.8", "--N", "8", "--M", "3", "--K", "4", "--t", "0.3",
-            "--variant", "uncollided+static", "--out-dir", str(tmp_path),
+            "--mesh", "static", "--out-dir", str(tmp_path),
         ])
         assert rc == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["variant"] == "uncollided+static"
         assert manifest["t_scaled"] == pytest.approx(0.375)
         assert 0 < manifest["max_abs_diff"] < 0.05
+
+    @pytest.mark.parametrize("problem", [
+        ["--preset", "gaussian-pulse", "--c", "0.8", "--K", "4"],
+        # the hybrid mesh's quarter rule binds moving meshes only
+        ["--preset", "square-pulse", "--c", "0.8", "--K", "6"],
+    ])
+    def test_variant_from_mesh_and_source_mode(self, tmp_path, problem):
+        rc = main(["scalecheck", *problem, "--N", "4", "--M", "2", "--t", "0.3",
+                   "--mesh", "static", "--source-mode", "standard",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["variant"] == "standard+static"
+
+    def test_no_second_variant_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["scalecheck", "--preset", "gaussian-pulse", "--c", "0.8",
+                  "--variant", "uncollided+moving", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not tmp_path.joinpath("manifest.json").exists()
 
     def test_source_kinds_rejected(self, tmp_path):
         rc = main([
@@ -381,6 +402,38 @@ def test_integration_failure_exits_1(tmp_path, capsys):
     assert "integration failure: non-finite error estimate in the step" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_static_square_source_study_at_six_cells(tmp_path, monkeypatch):
+    # the preset's own moving variant would need K divisible by 4; the
+    # static study it does not run must not veto this one
+    monkeypatch.setattr(
+        study, "reference_solution",
+        lambda spec, t_final, grid, k, n: ReferenceSolution(
+            np.zeros_like(grid), 1e-14, 1e-14, 0.0, "stub"))
+    rc = main(["converge", "--preset", "square-source", "--sweep", "order",
+               "--values", "1,2", "--K", "6", "--N", "4",
+               "--variants", "standard+static", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "convergence.csv")
+    assert [(r[0], r[2]) for r in rows] == [("standard+static", "1"),
+                                            ("standard+static", "2")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "mms", "--variants", "standard+static"],
+    ["--preset", "gaussian-pulse", "--N", "7"],
+])
+def test_unrunnable_study_fails_before_the_reference(tmp_path, monkeypatch, argv):
+    # mms runs standard+moving only, and N must be even: exit 2, no output,
+    # no oracle work
+    calls = []
+    monkeypatch.setattr(study, "reference_solution", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "out"
+    rc = main(["converge", *argv, "--sweep", "order", "--values", "2,3",
+               "--out-dir", str(out)])
+    assert rc == 2
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("sweep", ["cells", "order"])
