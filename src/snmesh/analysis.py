@@ -245,12 +245,13 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
     key = config_fingerprint(config, grid)
     path = cache_dir / f"oracle-{key}.csv"
     if path.exists():
-        # a file that names another config, or fails to parse, is a miss
+        # a miss: a file that names another config, fails to parse or holds a NaN or Inf
         try:
             meta, data = _read_oracle_file(path)
         except ValueError:
             meta, data = {}, None
-        if meta.get("fingerprint") == key and data.shape == (grid.size, 4):
+        if (meta.get("fingerprint") == key and data.shape == (grid.size, 4)
+                and np.isfinite(data).all()):
             return data[:, 1]
     system = TransportSystem(config)
     result = system.solve()

@@ -39,6 +39,7 @@ _PARAMETERS = (
     ("t_final", ("--t", "--t-final"), "t_final", float, "final time"),
     ("amplitude", ("--amplitude",), "amplitude", float, "source strength factor"),
 )
+_VARIANT_KEYS = ("mesh_mode", "source_mode")  # converge takes --variants instead
 _KEY_MAP = {name: key for name, _, key, _, _ in _PARAMETERS}
 _TYPES = {key: type_ for _, _, key, type_, _ in _PARAMETERS}
 
@@ -163,8 +164,10 @@ def cmd_converge(args):
                 for p in record.points
             ],
         }
+    # config holds what the study reads; sweep, values and fixed record the resolution
+    read = {k: v for k, v in settings.items() if k not in _VARIANT_KEYS + (args.sweep,)}
     _write_outputs(
-        args, settings, "convergence.csv",
+        args, read, "convergence.csv",
         ("variant", "sweep", "value", "rmse", "fit_A_or_c1", "fit_C"),
         rows,
         reference={
@@ -209,7 +212,7 @@ def cmd_scalecheck(args):
 # Argument plumbing.
 
 
-def _add_parameter_flags(parser):
+def _add_parameter_flags(parser, skip=()):
     parser.add_argument("--preset", choices=preset_names(),
                         help="named problem with study defaults")
     parser.add_argument("--config", type=Path,
@@ -217,9 +220,9 @@ def _add_parameter_flags(parser):
     parser.add_argument("--out-dir", type=Path, default=Path("snmesh-out"),
                         help="directory for CSV and manifest output")
     for _, flags, key, type_, extra in _PARAMETERS:
-        listed = isinstance(extra, tuple)
-        parser.add_argument(*flags, type=type_, dest=key,
-                            **{"choices" if listed else "help": extra})
+        if key not in skip:
+            keyword = "choices" if isinstance(extra, tuple) else "help"
+            parser.add_argument(*flags, type=type_, dest=key, **{keyword: extra})
 
 
 def build_parser():
@@ -235,7 +238,7 @@ def build_parser():
     p_solve.set_defaults(func=cmd_solve)
 
     p_conv = sub.add_parser("converge", help="resolution sweep per variant")
-    _add_parameter_flags(p_conv)
+    _add_parameter_flags(p_conv, skip=_VARIANT_KEYS)
     p_conv.add_argument("--sweep", choices=("cells", "order"),
                         default="cells", help="which resolution to sweep")
     p_conv.add_argument(

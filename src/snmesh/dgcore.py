@@ -252,13 +252,13 @@ class TransportSystem:
 
     # -- projections -------------------------------------------------------
 
-    def project_function(self, times, f, kinks=None, even=False, table=None):
+    def project_function(self, times, f, kinks, even=False, table=None):
         """Per-cell moments (T, K, J) of f(x, t) at each of the times; f
         takes the node positions and their times as flat arrays.  ``kinks``
-        is the (T, R) table of |x| where f loses smoothness (as kink_radii),
-        ``table`` the times' edge table if known.  An ``even`` f, f(-x, t)
-        == f(x, t) bit for bit, sees only the nodes x > 0 on a
-        mirror-symmetric mesh."""
+        is the (T, R) table of |x| where f loses smoothness (as kink_radii;
+        R = 0 for a smooth f), ``table`` the times' edge table if known.  An
+        ``even`` f, f(-x, t) == f(x, t) bit for bit, sees only the nodes
+        x > 0 on a mirror-symmetric mesh."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         edges, widths = edge_table(self.mesh, times) if table is None else table
         self._plan, (x, node_t, wts, bins, z) = projection_points(
@@ -287,10 +287,11 @@ class TransportSystem:
                 times, phi_u, analytic.kink_radii(spec, times, True), True, table)
         if spec.kind == "mms":
             src = lambda mu, x, t: analytic.mms_source(x, mu, t, spec.x0)
+            kinks = analytic.kink_radii(spec, times, False)
             even = self.project_function(
-                times, lambda x, t: src(0.0, x, t), None, True, table)
+                times, lambda x, t: src(0.0, x, t), kinks, True, table)
             slope = self.project_function(
-                times, lambda x, t: src(1.0, x, t) - src(0.0, x, t), None, False, table)
+                times, lambda x, t: src(1.0, x, t) - src(0.0, x, t), kinks, False, table)
             return 0.5 * (even[:, None] + self.mu[None, :, None, None] * slope[:, None])
         if spec.kind in SOURCE_KINDS:
             if self._static_source is not None:

@@ -42,10 +42,8 @@ def mirror_symmetric(mesh):
 def breaks(edges, kinks):
     """The breaks of a batch, flat: the (T, K + 1) edge table, then time by
     time the -s, s of each radius s in the (T, R) kink table (NaN where a
-    radius is absent, or ``kinks`` None) strictly inside the time's outer
-    edges; and the (T, R, 2) mask of those inside."""
-    if kinks is None or not kinks.size:
-        return edges.ravel(), None
+    radius is absent, R = 0 for a kink-free profile) strictly inside the
+    time's outer edges; and the (T, R, 2) mask of those inside."""
     signed = np.stack([-kinks, kinks], axis=-1)
     inside = (edges[:, :1, None] < signed) & (signed < edges[:, -1:, None])
     return np.concatenate([edges.ravel(), signed[inside]]), inside
@@ -63,20 +61,17 @@ class PanelPlan:
     def __init__(self, brk, inside, shape, mirror):
         n_times, n_edges = self.shape = shape
         self.inside = inside
-        owner = np.repeat(np.arange(n_times), n_edges)
-        if inside is not None:
-            owner = np.concatenate([owner, np.nonzero(inside)[0]])
+        owner = np.concatenate([np.repeat(np.arange(n_times), n_edges),
+                                np.nonzero(inside)[0]])
         order = np.lexsort((brk, owner))
         x, owner, is_edge = brk[order], owner[order], order < n_times * n_edges
         same = owner[1:] == owner[:-1]
         first = np.ones(brk.size, dtype=bool)
         first[1:] = (x[1:] != x[:-1]) | ~same
         # what fits() checks: the breaks of each pair of neighbours of one
-        # time, and whether they rise or tie; edges alone rise by the mesh law
-        self.size, self.pairs, self.rise = brk.size, None, None
-        if inside is not None:
-            pair = np.flatnonzero(same)
-            self.pairs, self.rise = (order[pair], order[pair + 1]), first[1:][same]
+        # time, and whether they rise or tie
+        self.size, self.rise = brk.size, first[1:][same]
+        self.pairs = order[:-1][same], order[1:][same]
         kept = np.flatnonzero(first)
         owner, is_edge = owner[kept], is_edge[kept]
         left = np.flatnonzero(owner[:-1] == owner[1:])
@@ -98,11 +93,7 @@ class PanelPlan:
     def fits(self, brk, inside):
         """Whether the breaks of a batch of as many times keep the order
         this plan was built on."""
-        if brk.size != self.size:
-            return False
-        if inside is None or self.inside is None:
-            return inside is self.inside
-        if not np.array_equal(inside, self.inside):
+        if brk.size != self.size or not np.array_equal(inside, self.inside):
             return False
         lo, hi = brk[self.pairs[0]], brk[self.pairs[1]]
         rise = hi > lo

@@ -62,7 +62,7 @@ def mms_projection_floor(spec, order, n_cells, n_angles, t_final, grid):
                     mesh_mode="moving", source_mode="standard", t_final=t_final)
     system = TransportSystem(cfg)
     psi = system.project_function(
-        [t_final], lambda x, t: analytic.mms_solution(x, t, spec.x0))[0]
+        [t_final], lambda x, t: analytic.mms_solution(x, t, spec.x0), np.empty((1, 0)))[0]
     state = SolutionState(
         np.broadcast_to(psi, (n_angles, n_cells, order + 1)).copy(), t_final)
     exact = analytic.mms_phi(grid, t_final, spec.x0)

@@ -295,6 +295,23 @@ class TestOracleCache:
         np.testing.assert_array_equal(analysis._oracle_solve(config, grid, tmp_path), phi)
         assert path.read_bytes() == whole
 
+    @pytest.mark.parametrize("bad", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_value_is_a_miss(self, tmp_path, bad):
+        # a file that parses but holds a NaN or Inf is rebuilt whole, so
+        # the value never reaches an RMSE
+        config, grid = self.tiny_oracle()
+        phi = analysis._oracle_solve(config, grid, tmp_path)
+        (path,) = tmp_path.glob("oracle-*.csv")
+        whole = path.read_bytes()
+        lines = whole.split(b"\n")
+        row = lines[4].split(b",")
+        lines[4] = b",".join([row[0], bad, *row[2:]])
+        path.write_bytes(b"\n".join(lines))
+        _, data = analysis._read_oracle_file(path)
+        assert data.shape == (grid.size, 4) and not np.isfinite(data[2, 1])
+        np.testing.assert_array_equal(analysis._oracle_solve(config, grid, tmp_path), phi)
+        assert path.read_bytes() == whole
+
     def test_committed_oracle_rebuilds_byte_identical(self, tmp_path):
         # the cheapest committed oracle (gaussian pulse, N8 K32, order 10,
         # t = 0.5), rebuilt by a fresh process at one BLAS thread into an

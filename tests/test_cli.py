@@ -194,8 +194,7 @@ class TestConverge:
         # three sweep values so the fit's span flag takes its computed
         # (non-short-circuit) branch; that value must survive json.dump
         rc = main([
-            "converge", "--kind", "mms", "--x0", "0.1", "--N", "8", "--K", "4",
-            "--mesh", "moving", "--source-mode", "standard", "--t", "0.5",
+            "converge", "--kind", "mms", "--x0", "0.1", "--N", "8", "--K", "4", "--t", "0.5",
             "--sweep", "order", "--values", "2,3,4", "--out-dir", str(tmp_path),
         ])
         assert rc == 0
@@ -342,6 +341,50 @@ def test_converge_manifest_records(tmp_path):
     fit = fit_spectral(values, [p["rmse"] for p in record["points"]], reference["gate"])
     assert record["fit"] == {**asdict(fit), "used": list(fit.used)}
     assert record["fit"]["used"] == values == [2, 3]
+
+
+def test_converge_manifest_config_holds_what_the_study_reads(tmp_path):
+    # --variants picks the variants and sweep, values and fixed record the
+    # resolution, so config has no variant keys and no swept setting, even
+    # where a shared config file sets them
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("mesh = static\nsource_mode = uncollided\n")
+    out = tmp_path / "out"
+    assert main(["converge", *MMS_SWEEP, "--config", str(cfg), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    want = set(preset_settings("mms")) - {"mesh_mode", "source_mode", "order"}
+    assert set(manifest["config"]) == want
+    assert manifest["config"]["cells"] == manifest["fixed"] == 4
+    assert (manifest["sweep"], manifest["values"]) == ("order", [2, 3])
+    assert set(manifest["variants"]) == set(study.VARIANTS)
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("solve", SOLVE_ARGS),
+    ("scalecheck", ["--preset", "gaussian-pulse", "--c", "0.8", "--N", "4", "--M", "2",
+                    "--K", "4", "--t", "0.3", "--mesh", "static"]),
+])
+def test_one_run_manifests_record_every_setting(tmp_path, command, argv):
+    # solve and scalecheck run the variant --mesh and --source-mode name,
+    # so their config keeps both, and order and cells
+    assert main([command, *argv, "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest["config"]) == set(preset_settings("gaussian-pulse"))
+    assert manifest["config"]["mesh_mode"] == "static"
+
+
+@pytest.mark.parametrize("flag", [["--mesh", "static"], ["--source-mode", "standard"]])
+def test_converge_has_no_variant_flags(tmp_path, monkeypatch, capsys, flag):
+    # --variants picks a study's runs: either one-variant flag is an
+    # argparse error, before any reference work, and nothing is written
+    calls = []
+    monkeypatch.setattr(study, "reference_solution", lambda *a, **kw: calls.append(a))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", *MMS_SWEEP, *flag, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("values, fallback", [("2,3", False), ("2,3,4", False)])

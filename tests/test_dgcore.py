@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snmesh import analytic as an
+from snmesh import analytic as an, projection
 from snmesh.analytic import SourceSpec
 from snmesh.basis import legendre_table
 from snmesh.dgcore import (
@@ -34,6 +34,7 @@ from snmesh.dgcore import (
 from snmesh.integrate import _C, IntegrationError
 from snmesh.mesh import (edge_table, hybrid_square_mesh, radial_mesh,
                          static_square_mesh, static_uniform_mesh)
+from snmesh.presets import config_from_settings, preset_settings
 from snmesh.projection import (breaks, cell_moments, mirror_symmetric,
                                mirrored_values, projection_points)
 from snmesh.quadrature import gauss_legendre
@@ -204,8 +205,9 @@ class TestPolynomialExactness:
         def source(times, table=None):
             # psi_t + mu psi_x + psi - (c / 2) phi with phi = 2 psi
             even = system.project_function(
-                times, lambda x, t: psi_t(x, t) + (1.0 - c) * psi(x, t), None, False, table)
-            slope = system.project_function(times, psi_x, None, False, table)
+                times, lambda x, t: psi_t(x, t) + (1.0 - c) * psi(x, t), smooth(times), False,
+                table)
+            slope = system.project_function(times, psi_x, smooth(times), False, table)
             return even[:, None] + system.mu[None, :, None, None] * slope[:, None]
 
         def inflow(t):
@@ -216,10 +218,10 @@ class TestPolynomialExactness:
         system.source_moments = source
         system.boundary_values = inflow
         shape = (cfg.n_angles, cfg.n_cells, cfg.order + 1)
-        start = system.project_function([0.0], psi)[0]
+        start = system.project_function([0.0], psi, smooth([0.0]))[0]
         state = SolutionState(np.broadcast_to(start, shape).copy(), 0.0)
         state, _ = system.advance(state, 1.0)
-        want = system.project_function([1.0], psi)[0]
+        want = system.project_function([1.0], psi, smooth([1.0]))[0]
         np.testing.assert_allclose(state.coeffs, np.broadcast_to(want, shape),
                                    rtol=0, atol=1e-11)
 
@@ -256,7 +258,7 @@ class TestSourceMoments:
         t = 0.3
         closed = system.source_moments([t])[0]
         phi_u = lambda x, t: an.uncollided_scalar_flux(system.spec, x, t)
-        numeric = 0.5 * system.spec.c * system.project_function([t], phi_u)[0]
+        numeric = 0.5 * system.spec.c * system.project_function([t], phi_u, smooth([t]))[0]
         np.testing.assert_allclose(closed, numeric, rtol=0, atol=1e-10)
 
     def test_uncollided_square_moments_integrate_the_flux(self):
@@ -293,7 +295,12 @@ def kink_row(spec, t, uncollided):
     return row[~np.isnan(row)]
 
 
-def fresh_points(system, times, kinks=None, mirror=False):
+def smooth(times):
+    """The empty (T, 0) kink table of a profile smooth at every time."""
+    return np.empty((np.size(times), 0))
+
+
+def fresh_points(system, times, kinks, mirror=False):
     """Panel nodes (x, node_t, wts, bins, z) of the times through a new plan."""
     edges, _ = edge_table(system.mesh, times)
     return projection_points(None, edges, kinks, times, system._proj_rule, mirror)[1]
@@ -547,6 +554,51 @@ class TestPanelPlan:
         for a, b in zip(got, projection_points(None, edges, moved, times, rule, True)[1]):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_empty_and_all_nan_kink_tables_give_the_same_points(self, mirror):
+        # a kink-free profile's (T, 0) table and a (T, 2) table of absent
+        # radii split no cell: the same points bit for bit, from a fresh
+        # plan and through a reused one
+        cfg = make_config(kind="gaussian-pulse", mesh="moving", K=8, M=3, N=4)
+        system = TransportSystem(cfg)
+        rule, plans = system._proj_rule, {}
+        for t in (0.3, 0.6):
+            times = t + _C[1:] * 0.05
+            edges, _ = edge_table(system.mesh, times)
+            want = projection_points(None, edges, smooth(times), times, rule, mirror)[1]
+            for name, table in (("empty", smooth(times)),
+                                ("nan", np.full((times.size, 2), np.nan))):
+                _, inside = breaks(edges, table)
+                assert inside.shape == table.shape + (2,) and not inside.any()
+                prior = plans.get(name)
+                plans[name], got = projection_points(prior, edges, table, times, rule,
+                                                     mirror)
+                assert prior is None or plans[name] is prior
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("preset,flags,builds", [
+    ("gaussian-source", dict(order=8, cells=16), 2),
+    ("gaussian-pulse", dict(cells=4, angles=8, order=2, t_final=0.5), 2),
+    ("square-source", dict(order=1, cells=16), 22),
+    ("square-source", dict(order=2, cells=16), 14),
+])
+def test_panel_plan_builds_per_solve(monkeypatch, preset, flags, builds):
+    # the edges of a kink-free batch always rise, so its plan is rebuilt
+    # only when the batch size changes; the square source's kinks cross
+    # edges
+    count = []
+
+    class Counted(projection.PanelPlan):
+        def __init__(self, *args):
+            count.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(projection, "PanelPlan", Counted)
+    TransportSystem(config_from_settings({**preset_settings(preset), **flags})).solve()
+    assert len(count) == builds
+
 
 def parent_rhs(system, t, u):
     """rhs_coeffs as it was before it worked moment-major: (N, K, J) layout
@@ -758,7 +810,7 @@ class TestMirroredSources:
         system = TransportSystem(cfg)
         seen = self.recorder(monkeypatch, "mms_source")
         system.source_moments(times)
-        full = fresh_points(system, times)[0]
+        full = fresh_points(system, times, smooth(times))[0]
         # the even part once on the upper half, the odd slope on every node
         sizes = sorted(x.size for x in seen)
         assert sizes[0] == full.size // 2 and sizes[-1] == full.size
@@ -772,10 +824,10 @@ class TestMirroredSources:
         sizes = []
         f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
         times = 0.3 + _C[1:] * 0.05
-        got = system.project_function(times, f, None, True)
-        full = fresh_points(system, times)[0]
+        got = system.project_function(times, f, smooth(times), True)
+        full = fresh_points(system, times, smooth(times))[0]
         assert sizes == [full.size]
-        np.testing.assert_array_equal(got, system.project_function(times, f))
+        np.testing.assert_array_equal(got, system.project_function(times, f, smooth(times)))
 
     @pytest.mark.parametrize("K", [4, 8])
     @pytest.mark.parametrize("order", [3, 4])
@@ -851,8 +903,8 @@ class TestMirroredSources:
         sizes = []
         f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
         times = 0.3 + _C[1:] * 0.05
-        system.project_function(times, f, None, True)
-        full = fresh_points(system, times)[0]
+        system.project_function(times, f, smooth(times), True)
+        full = fresh_points(system, times, smooth(times))[0]
         assert sizes == [full.size]
 
     @pytest.mark.parametrize("kind", ["square-source", "gaussian-source"])
@@ -891,7 +943,8 @@ class TestManufacturedResidual:
         x0 = 0.1
 
         def coeffs_at(tt):
-            c = system.project_function([tt], lambda x, t: an.mms_solution(x, t, x0))
+            c = system.project_function([tt], lambda x, t: an.mms_solution(x, t, x0),
+                                        smooth([tt]))
             return np.broadcast_to(c[0], (8, 4, order + 1)).copy()
 
         eps = 1e-6
