@@ -228,11 +228,6 @@ class TransportSystem:
         self._odd_speed = 2.0 * self.mu[:, None] - (vel[:-1] + vel[1:])[None, :]
         self._rel = self.mu[:, None] - vel[None, :]
         self._upwind_left = self._rel > 0.0
-        # a static mesh has one projection of a standard-mode source:
-        # constant while it is on, t <= t0, and zero after
-        self._static_source = None
-        if not (self._uncollided or vel.any()) and self.spec.kind in SOURCE_KINDS:
-            self._static_source = self._volumetric_moments(np.array([self.spec.t0]))[0]
 
     # -- mesh and boundary -------------------------------------------------
 
@@ -294,18 +289,10 @@ class TransportSystem:
                 times, lambda x, t: src(1.0, x, t) - src(0.0, x, t), kinks, False, table)
             return 0.5 * (even[:, None] + self.mu[None, :, None, None] * slope[:, None])
         if spec.kind in SOURCE_KINDS:
-            if self._static_source is not None:
-                on = (times <= spec.t0)[:, None, None]
-                return np.where(on, self._static_source, 0.0)
-            return self._volumetric_moments(times, table)
+            src = lambda x, t: analytic.volumetric_source(spec, x, t)
+            return 0.5 * self.project_function(
+                times, src, analytic.kink_radii(spec, times, False), True, table)
         return np.zeros((times.size, self.config.n_cells, self.config.order + 1))
-
-    def _volumetric_moments(self, times, table=None):
-        """Projected standard-mode source, half the volumetric S(x, t)."""
-        spec = self.spec
-        kinks = analytic.kink_radii(spec, times, uncollided=False)
-        src = lambda x, t: analytic.volumetric_source(spec, x, t)
-        return 0.5 * self.project_function(times, src, kinks, True, table)
 
     def _mesh_factors(self, h):
         """Per-time scalings of the RHS for (T, K) cell widths h, moment-major:

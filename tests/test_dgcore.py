@@ -760,8 +760,8 @@ def mirror_cases(draw):
 
 class TestMirroredSources:
     """Even profiles on a mirror-symmetric mesh run on the nodes x > 0 and
-    are mirrored onto the rest, and a static mesh projects its standard
-    source once; both give the bits of the full per-time evaluation."""
+    are mirrored onto the rest, on a static mesh as on a moving one; both
+    give the bits of the full per-time evaluation."""
 
     ATTEMPTS = [(0.45, 0.1), (0.95, 0.1), (1.45, 0.1)]
 
@@ -907,31 +907,31 @@ class TestMirroredSources:
         full = fresh_points(system, times, smooth(times))[0]
         assert sizes == [full.size]
 
-    @pytest.mark.parametrize("kind", ["square-source", "gaussian-source"])
-    def test_static_source_cache_equals_per_time_projection(self, monkeypatch, kind):
-        cfg = make_config(kind=kind, mode="standard", mesh="static", K=8, M=4, N=4,
+    @pytest.mark.parametrize("kind,K", [("square-source", 8), ("gaussian-source", 8),
+                                        ("square-source", 6)])
+    def test_static_standard_source_equals_per_time_projection(self, monkeypatch,
+                                                               kind, K):
+        # a static mesh projects its standard source per batch, as a moving
+        # one does; K = 6 falls back to a uniform mesh, so x0 = 0.5 lies
+        # inside a cell
+        cfg = make_config(kind=kind, mode="standard", mesh="static", K=K, M=4, N=4,
                           x0=0.5, t0=1.0, t_final=2.0)
         system = TransportSystem(cfg)
-        assert system._static_source is not None
-        seen = self.recorder(monkeypatch, "volumetric_source")
+        assert system._mirrored
         t0 = system.spec.t0
         edge = np.array([0.0, np.nextafter(t0, 0.0), t0, np.nextafter(t0, 2.0)])
         for times in [t + _C[1:] * h for t, h in self.ATTEMPTS] + [edge]:
-            got = system.source_moments(times)
-            assert not seen  # served from the cache
-            monkeypatch.undo()
-            want = np.stack([per_time_source(system, tt) for tt in times])
             seen = self.recorder(monkeypatch, "volumetric_source")
+            got = system.source_moments(times)
+            monkeypatch.undo()
+            # one evaluation per batch, on the nodes x > 0
+            assert len(seen) == 1 and seen[0].min() > 0.0
+            want = np.stack([per_time_source(system, tt) for tt in times])
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert not np.signbit(got[times > t0]).any()
             assert np.all(got[times > t0] == 0.0)
             assert all(np.any(row != 0.0) for row in got[times <= t0])
-
-    def test_moving_and_uncollided_sources_are_not_cached(self):
-        for mode, mesh in (("standard", "moving"), ("uncollided", "static")):
-            cfg = make_config(kind="square-source", mode=mode, mesh=mesh, K=8, M=2, N=4,
-                              x0=0.5, t0=1.0)
-            assert TransportSystem(cfg)._static_source is None
 
 
 class TestManufacturedResidual:
