@@ -2,9 +2,10 @@
 
 References come from the manufactured solution when available and otherwise
 from a high-resolution uncollided moving-mesh solve (the self-convergence
-oracle).  Oracle solves are cached on disk keyed by a config fingerprint; a
-gate value bounds how far the oracle itself can be trusted and convergence
-fits drop points that have saturated at that gate.
+oracle).  Oracle solves are cached on disk keyed by a config fingerprint,
+each file stamped with the solver scheme that wrote it; a gate value bounds
+how far the oracle itself can be trusted and convergence fits drop points
+that have saturated at that gate.
 """
 
 import json
@@ -38,6 +39,10 @@ ORACLE_CELL_FACTOR = 4
 ORACLE_ANGLE_FACTOR = 4
 ORACLE_MIN_CELLS = 32
 _ORACLE_TAG = "# snmesh-oracle "  # first line of an oracle file, before its JSON metadata
+# The numerical scheme an oracle file was solved with.  The cache key hashes
+# the config alone, so a change to the solver that moves the numbers bumps
+# this on purpose, and a file of another scheme (or of none) is a miss.
+ORACLE_SCHEME = 2
 
 # Abort thresholds on the oracle's own spatial self-convergence, by family.
 GATE_LIMITS = {
@@ -245,13 +250,14 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
     key = config_fingerprint(config, grid)
     path = cache_dir / f"oracle-{key}.csv"
     if path.exists():
-        # a miss: a file that names another config, fails to parse or holds a NaN or Inf
+        # a miss: a file that names another config or scheme, fails to parse
+        # or holds a NaN or Inf
         try:
             meta, data = _read_oracle_file(path)
         except ValueError:
             meta, data = {}, None
-        if (meta.get("fingerprint") == key and data.shape == (grid.size, 4)
-                and np.isfinite(data).all()):
+        if (meta.get("fingerprint") == key and meta.get("scheme") == ORACLE_SCHEME
+                and data.shape == (grid.size, 4) and np.isfinite(data).all()):
             return data[:, 1]
     system = TransportSystem(config)
     result = system.solve()
@@ -263,6 +269,7 @@ def _oracle_solve(config: RunConfig, grid: np.ndarray, cache_dir: Path) -> np.nd
         "order": config.order,
         "n_cells": config.n_cells,
         "t_final": config.t_final,
+        "scheme": ORACLE_SCHEME,
         "steps_accepted": result.stats.steps_accepted,
         "steps_rejected": result.stats.steps_rejected,
     }

@@ -1,9 +1,9 @@
 """Moving-mesh discontinuous Galerkin discretization of single-speed slab
 transport with isotropic scattering.
 
-State layout: coefficients u[l, k, j] for discrete direction l, cell k, and
-Legendre moment j, flattened in C order for the time integrator.  For each
-direction the semidiscrete system on a moving cell reads
+State layout: coefficients u[j, l, k] for Legendre moment j, discrete
+direction l and cell k, flattened in C order for the time integrator.  For
+each direction the semidiscrete system on a moving cell reads
 
     du/dt = G u + mu L u - u - surf + (c / 2) sum_l' w_l' u_l' + s,
 
@@ -12,13 +12,12 @@ the upwinded surface term, and s holds the per-direction projected source
 (half the volumetric source in standard mode, (c / 2) phi_u in uncollided
 mode).
 
-The right-hand side keeps that (N, K, J) layout at its interface, but works
-moment-major inside, on a (J, N, K) buffer: its elementwise factors vary by
-direction and cell, or by cell alone, so each broadcasts over a long inner
-loop instead of over the J = order + 1 moments.  Every element sees the
-floating-point operations an (N, K, J) assembly would apply, in the same
-order.  The mesh factors and the source moments depend on time alone: one
-step attempt computes them for all its stage times from one edge table.
+The moment-major layout suits the right-hand side: its elementwise factors
+vary by direction and cell, or by cell alone, so each broadcasts over a long
+inner loop instead of over the J = order + 1 moments, and the (J, J) volume
+patterns act on the state as one (J, N K) matrix.  The mesh factors and the
+source moments depend on time alone: one step attempt computes them for all
+its stage times from one edge table.
 """
 
 import time
@@ -42,7 +41,7 @@ from .mesh import (
     static_uniform_mesh,
 )
 from .projection import (cell_moments, mirror_symmetric, mirrored_values,
-                         projection_points)
+                         moment_table, projection_points)
 from .quadrature import gauss_legendre, gauss_lobatto
 
 SOURCE_MODES = ("standard", "uncollided")
@@ -176,7 +175,7 @@ def start_time(config: RunConfig) -> float:
 class SolutionState:
     """DG coefficients at one time."""
 
-    coeffs: np.ndarray  # (n_angles, n_cells, order + 1)
+    coeffs: np.ndarray  # (order + 1, n_angles, n_cells)
     t: float
 
 
@@ -202,6 +201,7 @@ class TransportSystem:
         self._sq = np.sqrt(2.0 * j + 1.0)
         self._alt = np.where(j % 2 == 0, self._sq, -self._sq)
         self._proj_rule = gauss_legendre(config.order + 7)
+        self._moment_table = moment_table(self._proj_rule, self._sq)
         self._uncollided = config.source_mode == "uncollided"
         self._reflect_left = config.half_domain
         # source moments and mesh factors of the current step attempt, keyed
@@ -256,11 +256,11 @@ class TransportSystem:
         x > 0 on a mirror-symmetric mesh."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         edges, widths = edge_table(self.mesh, times) if table is None else table
-        self._plan, (x, node_t, wts, bins, z) = projection_points(
+        self._plan, (x, node_t, *rest) = projection_points(
             self._plan, edges, kinks, times, self._proj_rule, self._mirrored)
         values = (mirrored_values(f, x, node_t) if even and self._mirrored
                   else f(x, node_t))
-        return cell_moments(values, wts, bins, z, widths, self._sq)
+        return cell_moments(values, *rest, widths, self._sq, self._moment_table)
 
     def source_moments(self, times, table=None):
         """Projected per-direction source at each of the times: (T, K, J) if
@@ -268,15 +268,6 @@ class TransportSystem:
         times = np.asarray(times, dtype=float)
         spec = self.spec
         if self._uncollided:
-            if spec.kind == "plane-pulse" and self.config.mesh_mode == "moving":
-                # Closed form: plateau e^-t/(2t), mean moment only.  The outer edges
-                # sit PLANE_EPS_X0 past |x| = t, where phi_u ends, so the mass is
-                # (1 + 1e-10/t) times too high and outer cells lose higher moments.
-                _, widths = edge_table(self.mesh, times) if table is None else table
-                out = np.zeros(widths.shape + (self.config.order + 1,))
-                plateau = spec.amplitude * np.exp(-times) / (2.0 * times)
-                out[..., 0] = 0.5 * spec.c * plateau[:, None] * np.sqrt(widths)
-                return out
             phi_u = lambda x, t: analytic.uncollided_scalar_flux(spec, x, t)
             return 0.5 * spec.c * self.project_function(
                 times, phi_u, analytic.kink_radii(spec, times, True), True, table)
@@ -307,9 +298,11 @@ class TransportSystem:
         return list(zip(inv_sqrt_h, diag, odd, self._hdot / h, right, left))
 
     def _stage_terms(self, times):
-        """(source moments, mesh factors) of the RHS at each of the times."""
+        """(source moments, mesh factors) of the RHS at each of the times, the
+        source moment-major: (J, K) if isotropic, else (J, N, K)."""
         table = edge_table(self.mesh, times)
-        return zip(self.source_moments(times, table), self._mesh_factors(table[1]))
+        src = np.moveaxis(self.source_moments(times, table), -1, 1)
+        return zip(np.ascontiguousarray(src), self._mesh_factors(table[1]))
 
     def _prepare_sources(self, times):
         """Stepper hook: the source moments and mesh factors of one step
@@ -323,7 +316,7 @@ class TransportSystem:
         """State at the start time: projected initial flux, or zero in
         uncollided mode (the analytic part carries the initial particles)."""
         cfg = self.config
-        shape = (cfg.n_angles, cfg.n_cells, cfg.order + 1)
+        shape = (cfg.order + 1, cfg.n_angles, cfg.n_cells)
         if self._uncollided:
             return SolutionState(np.zeros(shape), self.t_start)
         kinks = analytic.kink_radii(self.spec, [self.t_start], uncollided=False)
@@ -340,7 +333,8 @@ class TransportSystem:
             kinks = np.array([[plane_w]])
         psi0 = lambda x, t: analytic.initial_psi(self.spec, x, plane_w)
         coeffs = self.project_function([self.t_start], psi0, kinks)
-        return SolutionState(np.broadcast_to(coeffs[0], shape).copy(), self.t_start)
+        return SolutionState(np.broadcast_to(coeffs[0].T[:, None], shape).copy(),
+                             self.t_start)
 
     # -- semidiscrete right-hand side ---------------------------------------
 
@@ -351,21 +345,20 @@ class TransportSystem:
         if terms is None:
             terms = next(self._stage_terms(np.array([t])))
         src, (inv_sqrt_h, diag, odd_fac, even_fac, right, left) = terms
-        n, k_cells, j_funcs = u.shape
-        flat = u.reshape(n * k_cells, j_funcs)
+        j_funcs, n, k_cells = u.shape
+        flat = u.reshape(j_funcs, n * k_cells)
         # volume terms (G + mu L) u from the shared patterns, with the
-        # collision loss -u folded into the diagonal, worked moment-major
-        du = np.empty((j_funcs, n, k_cells))
-        np.multiply(diag[:, None, :], u.transpose(2, 0, 1), out=du)
+        # collision loss -u folded into the diagonal
+        du = diag[:, None, :] * u
         # one work buffer serves every product below
         work = np.empty((j_funcs, n * k_cells))
-        part = work.reshape(du.shape)
+        part = work.reshape(u.shape)
         if self._odd_pattern is not None:
-            np.matmul(self._odd_pattern, flat.T, out=work)
+            np.matmul(self._odd_pattern, flat, out=work)
             part *= odd_fac
             du += part
         if self._even_pattern is not None:
-            np.matmul(self._even_pattern, flat.T, out=work)
+            np.matmul(self._even_pattern, flat, out=work)
             part *= even_fac
             du -= part
 
@@ -373,9 +366,9 @@ class TransportSystem:
         # and from_right[:, e] the one just right of it
         from_left = np.empty((n, k_cells + 1))
         from_right = np.empty((n, k_cells + 1))
-        np.multiply((flat @ self._sq).reshape(n, k_cells), inv_sqrt_h,
+        np.multiply((self._sq @ flat).reshape(n, k_cells), inv_sqrt_h,
                     out=from_left[:, 1:])
-        np.multiply((flat @ self._alt).reshape(n, k_cells), inv_sqrt_h,
+        np.multiply((self._alt @ flat).reshape(n, k_cells), inv_sqrt_h,
                     out=from_right[:, :-1])
         bc_left, bc_right = self.boundary_values(t)
         if self._reflect_left:
@@ -391,22 +384,20 @@ class TransportSystem:
         np.multiply(flux[None, :, :-1], left[:, None, :], out=part)
         du += part
 
-        # isotropic scattering gain plus external source, added in the pass
-        # that writes the (N, K, J) result
-        gain = np.dot(self.weights, u.reshape(n, -1)).reshape(k_cells, j_funcs)
+        # isotropic scattering gain plus external source
+        gain = self.weights @ u
         gain *= 0.5 * self.spec.c
-        out = np.empty(u.shape)
         if src.ndim == 2:
             gain += src
-            np.add(du, gain.T[:, None, :], out=out.transpose(2, 0, 1))
+            du += gain[:, None, :]
         else:
-            du += gain.T[:, None, :]
-            np.add(du, src.transpose(2, 0, 1), out=out.transpose(2, 0, 1))
-        return out
+            du += gain[:, None, :]
+            du += src
+        return du
 
     def rhs_flat(self, t: float, y: np.ndarray) -> np.ndarray:
         cfg = self.config
-        u = y.reshape(cfg.n_angles, cfg.n_cells, cfg.order + 1)
+        u = y.reshape(cfg.order + 1, cfg.n_angles, cfg.n_cells)
         return self.rhs_coeffs(t, u).ravel()
 
     # -- time advancement ----------------------------------------------------
@@ -445,8 +436,8 @@ class TransportSystem:
     # -- observables ---------------------------------------------------------
 
     def phi_moments(self, state: SolutionState) -> np.ndarray:
-        """Quadrature-summed scalar-flux moments, shape (K, J)."""
-        return np.tensordot(self.weights, state.coeffs, axes=(0, 0))
+        """Quadrature-summed scalar-flux moments, shape (J, K)."""
+        return self.weights @ state.coeffs
 
     def scalar_flux(self, state: SolutionState, points):
         """Scalar flux at the points, at |x| in a half-domain solve (edge hits read
@@ -464,8 +455,8 @@ class TransportSystem:
         z = np.clip((2.0 * pts - xl - xr) / (xr - xl), -1.0, 1.0)
         table = legendre_table(z, self.config.order)
         mom = self.phi_moments(state)
-        scaled = mom * self._sq[None, :] / np.sqrt(widths)[:, None]
-        phi = np.einsum("pj,jp->p", scaled[cell], table)
+        scaled = mom * self._sq[:, None] / np.sqrt(widths)
+        phi = np.einsum("jp,jp->p", scaled[:, cell], table)
         if self._uncollided:
             phi = phi + analytic.uncollided_scalar_flux(self.spec, pts, state.t)
         return phi
@@ -474,7 +465,7 @@ class TransportSystem:
         """integral(phi) dx over the whole slab, a half-domain solve's mirror
         half included, exact per cell via mean moments."""
         _, widths = self.mesh_at(state.t)
-        mom0 = self.phi_moments(state)[:, 0]
+        mom0 = self.phi_moments(state)[0]
         total = (1 + self._reflect_left) * float(np.sum(mom0 * np.sqrt(widths)))
         if self._uncollided:
             total += float(analytic.uncollided_integral(self.spec, state.t))

@@ -4,21 +4,26 @@ many times at once.
 A batch of times is one pass: the edges are moved to every time, each
 time's cells are split into panels at the kinks of the projected function,
 and the nodes of all panels and times go to one call of that function.
-Each (time, cell) bin sums its nodes in node order, so a batch gives, bit
-for bit, the values of one-time projections.
+A panel whose two breaks are both cell edges spans its whole cell, so its
+nodes' reference coordinates are the rule's own: its moments are one
+product of its node values with the fixed weighted Legendre table of the
+rule (``moment_table``).  The nodes of the split panels of a cell sum into
+its (time, cell) bin one moment at a time, in node order.  Either way a
+row's sums run in an order that the batch size does not change, so a batch
+gives, bit for bit, the values of one-time projections.
 
 The panel geometry comes in two steps.  A ``PanelPlan`` holds what depends
 only on the order of the batch's breaks: which kinks lie inside, the sort
 and the ties kept, the break indices at each panel's ends, each panel's
 time and cell, and the mirror order, taken from the cell; integers only.
 ``PanelPlan.apply`` computes from the break values what depends on them:
-panel midpoints and half-widths, nodes, weights, reference coordinates and
-node times, and the cell of a panel so narrow that its midpoint rounds
-onto its right edge.  A plan holds for the next batch of as many times as
-long as the breaks of each time keep their order, rising where they rose
-and tying where they tied: a fresh sort would then give the same plan, so
-a step attempt that moves no kink past an edge reuses the last attempt's
-plan, and ``apply`` always returns its points.
+panel midpoints and half-widths, nodes and node times, the split panels'
+weights and reference coordinates, and the cell of a split panel so narrow
+that its midpoint rounds onto its right edge.  A plan holds for the next
+batch of as many times as long as the breaks of each time keep their
+order, rising where they rose and tying where they tied: a fresh sort would
+then give the same plan, so a step attempt that moves no kink past an edge
+reuses the last attempt's plan, and ``apply`` always returns its points.
 
 On a mesh whose edges and edge velocities are exactly antisymmetric, with
 an edge at 0, the panels of the cells left of 0 mirror those right of it
@@ -27,7 +32,7 @@ exactly, so a function even in x needs its values on the nodes x > 0 only.
 
 import numpy as np
 
-from .basis import legendre_rows
+from .basis import legendre_rows, legendre_table
 
 
 def mirror_symmetric(mesh):
@@ -78,6 +83,8 @@ class PanelPlan:
         self.lo, self.hi = order[kept[left]], order[kept[left + 1]]
         self.owner = owner[left]
         self.hi_edge = is_edge[left + 1]
+        # a panel from edge to edge spans its whole cell
+        self.whole = is_edge[left] & self.hi_edge
         # the cell holding the midpoint, as a search of the edges finds it:
         # the edges at or below the panel's left break
         below = np.cumsum(is_edge)[left] - self.owner * n_edges
@@ -87,7 +94,7 @@ class PanelPlan:
             left_of_0 = self.cell - self.owner * n_edges < n_edges // 2
             side = np.where(left_of_0, n_times - 1 - self.owner, n_times + self.owner)
             perm = np.argsort(side, kind="stable")
-            for name in ("lo", "hi", "owner", "hi_edge", "cell"):
+            for name in ("lo", "hi", "owner", "hi_edge", "whole", "cell"):
                 setattr(self, name, getattr(self, name)[perm])
 
     def fits(self, brk, inside):
@@ -101,32 +108,36 @@ class PanelPlan:
 
     def apply(self, brk, times, rule):
         """Nodes of the quadrature rule on every panel, flat, time by time:
-        position x, time, weight, (time, cell) bin and reference coordinate
-        z."""
+        position x and time of every node, the whole-panel mask and those
+        panels' (time, cell) bins, then weight, bin and reference coordinate
+        z of each split panel's nodes."""
         a, b = brk[self.lo], brk[self.hi]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        cell = self.cell
+        nodes = mid[:, None] + half[:, None] * rule.nodes[None, :]
+        node_t = np.repeat(times[self.owner], rule.n)
+        split = ~self.whole
+        owner, cell = self.owner[split], self.cell[split]
+        mid, half = mid[split], half[split]
         # a midpoint that rounds onto an edge on the right is in the next cell
-        onto = (mid == b) & self.hi_edge
+        onto = (mid == b[split]) & self.hi_edge[split]
         if onto.any():
-            last = self.owner * self.shape[1] + self.shape[1] - 2
+            last = owner * self.shape[1] + self.shape[1] - 2
             cell = np.minimum(cell + onto, last)
         # cell edges gathered per panel, not per node
         xl = brk[cell][:, None]
         xr = brk[cell + 1][:, None]
-        nodes = mid[:, None] + half[:, None] * rule.nodes[None, :]
+        z = np.clip((2.0 * nodes[split] - xl - xr) / (xr - xl), -1.0, 1.0)
         wts = half[:, None] * rule.weights[None, :]
-        z = np.clip((2.0 * nodes - xl - xr) / (xr - xl), -1.0, 1.0)
-        bins = np.repeat(cell - self.owner, rule.n)
-        node_t = np.repeat(times[self.owner], rule.n)
-        return nodes.ravel(), node_t, wts.ravel(), bins, z.ravel()
+        bins = np.repeat(cell - owner, rule.n)
+        whole_bins = (self.cell - self.owner)[self.whole]
+        return nodes.ravel(), node_t, self.whole, whole_bins, wts.ravel(), bins, z.ravel()
 
 
 def projection_points(plan, edges, kinks, times, rule, mirror):
     """Nodes of ``rule`` on the panels of every cell at each time, the cells
-    split at the radii of the (T, R) kink table: (plan, (x, node_t, wts,
-    bins, z)), through ``plan`` if it fits the breaks, else through the new
-    plan returned."""
+    split at the radii of the (T, R) kink table: (plan, (x, node_t, whole,
+    whole_bins, wts, bins, z)) as ``PanelPlan.apply`` gives them, through
+    ``plan`` if it fits the breaks, else through the new plan returned."""
     brk, inside = breaks(edges, kinks)
     if plan is None or not plan.fits(brk, inside):
         plan = PanelPlan(brk, inside, edges.shape, mirror)
@@ -142,18 +153,33 @@ def mirrored_values(f, x, node_t):
     return np.concatenate([upper[::-1], upper])
 
 
-def cell_moments(values, wts, bins, z, widths, sq):
-    """Per-cell moments (T, K, J) of the orthonormal Legendre basis, whose
-    scale factors sqrt(2j + 1) are ``sq``, from values at the nodes.
+def moment_table(rule, sq):
+    """w_i P_j(node_i) sqrt(2j + 1), (nodes, moments): the moments of one
+    whole cell of width 2 from its values at the nodes of ``rule``."""
+    return rule.weights[:, None] * legendre_table(rule.nodes, sq.size - 1).T * sq
 
-    One moment at a time: ``basis.legendre_rows`` yields the next
+
+def cell_moments(values, whole, whole_bins, wts, bins, z, widths, sq, table):
+    """Per-cell moments (T, K, J) of the orthonormal Legendre basis, whose
+    scale factors sqrt(2j + 1) are ``sq``, from values at the nodes laid out
+    as ``PanelPlan.apply`` gives them; ``table`` is ``moment_table`` of the
+    panels' rule.
+
+    A whole panel's node values meet the table in one product, scaled by
+    sqrt(width) / 2.  np.einsum sums each row in an order that the count of
+    rows does not change, which the BLAS product does not keep.  Split
+    panels go one moment at a time: ``basis.legendre_rows`` yields the next
     Legendre row and one bincount over the (time, cell) bins reduces it,
-    each bin summing its nodes in node order, so temporaries grow with the
-    node count only.
+    each bin summing its nodes in node order.
     """
-    weighted = wts * values
-    out = np.empty((widths.size, sq.size))
-    for j, p in enumerate(legendre_rows(z, sq.size - 1)):
-        w = p * weighted if j else weighted
-        out[:, j] = np.bincount(bins, weights=w, minlength=widths.size)
-    return out.reshape(widths.shape + (sq.size,)) * (sq / np.sqrt(widths)[..., None])
+    panels = values.reshape(whole.size, -1)
+    out = np.zeros((widths.size, sq.size))
+    if bins.size:
+        weighted = wts * panels[~whole].ravel()
+        for j, p in enumerate(legendre_rows(z, sq.size - 1)):
+            w = p * weighted if j else weighted
+            out[:, j] = np.bincount(bins, weights=w, minlength=widths.size)
+        out *= sq / np.sqrt(widths.reshape(-1, 1))
+    scale = 0.5 * np.sqrt(widths.ravel()[whole_bins])
+    out[whole_bins] = np.einsum("pn,nj->pj", panels[whole], table) * scale[:, None]
+    return out.reshape(widths.shape + (sq.size,))

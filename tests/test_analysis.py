@@ -312,6 +312,31 @@ class TestOracleCache:
         np.testing.assert_array_equal(analysis._oracle_solve(config, grid, tmp_path), phi)
         assert path.read_bytes() == whole
 
+    @pytest.mark.parametrize("stamp", ["none", "scheme-1"])
+    def test_file_of_another_scheme_is_a_miss(self, tmp_path, stamp):
+        # a file whose header lacks the scheme, or names another, was solved
+        # by other code: it is rebuilt whole, byte for byte
+        config, grid = self.tiny_oracle()
+        analysis._oracle_solve(config, grid, tmp_path)
+        (path,) = tmp_path.glob("oracle-*.csv")
+        whole = path.read_bytes()
+        field = b'"scheme": %d, ' % analysis.ORACLE_SCHEME
+        assert whole.count(field) == 1
+        path.write_bytes(whole.replace(field, b"" if stamp == "none" else b'"scheme": 1, '))
+        meta, data = analysis._read_oracle_file(path)
+        assert meta.get("scheme") != analysis.ORACLE_SCHEME and np.isfinite(data).all()
+        analysis._oracle_solve(config, grid, tmp_path)
+        assert path.read_bytes() == whole
+
+    def test_committed_oracles_carry_the_current_scheme(self):
+        # a solver change that bumps the scheme rebuilds every committed file
+        cache = Path(__file__).resolve().parents[1] / ".snmesh_cache"
+        files = sorted(cache.glob("oracle-*.csv"))
+        assert files
+        for path in files:
+            meta, _ = analysis._read_oracle_file(path)
+            assert meta.get("scheme") == analysis.ORACLE_SCHEME, path.name
+
     def test_committed_oracle_rebuilds_byte_identical(self, tmp_path):
         # the cheapest committed oracle (gaussian pulse, N8 K32, order 10,
         # t = 0.5), rebuilt by a fresh process at one BLAS thread into an
