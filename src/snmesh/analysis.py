@@ -44,15 +44,6 @@ _ORACLE_TAG = "# snmesh-oracle "  # first line of an oracle file, before its JSO
 # this on purpose, and a file of another scheme (or of none) is a miss.
 ORACLE_SCHEME = 2
 
-# Abort thresholds on the oracle's own spatial self-convergence, by family.
-GATE_LIMITS = {
-    "gaussian-pulse": 1e-9,
-    "gaussian-source": 1e-9,
-    "square-pulse": 1e-5,
-    "square-source": 1e-5,
-    "plane-pulse": 1e-4,
-}
-
 
 class OracleGateError(RuntimeError):
     """The self-convergence oracle failed its quality gate."""
@@ -68,12 +59,7 @@ def rmse(a, b) -> float:
 
 def analysis_grid(spec: SourceSpec, t_final: float) -> np.ndarray:
     """Fixed uniform comparison grid spanning the relevant light cone."""
-    if spec.kind in ("gaussian-pulse", "gaussian-source"):
-        half = t_final + 3.0 * spec.sigma
-    elif spec.kind == "plane-pulse":
-        half = t_final
-    else:
-        half = t_final + spec.x0
+    half = t_final + spec.family.pad(spec)
     return np.linspace(-half, half, GRID_POINTS)
 
 
@@ -227,7 +213,7 @@ def solution_table(system: TransportSystem, state, grid: np.ndarray) -> np.ndarr
     """The ``SOLUTION_COLUMNS`` of a solve on the grid: the table ``snmesh
     solve`` writes and an oracle file holds (phi_u is zero for mms)."""
     phi = system.scalar_flux(state, grid)
-    if system.spec.kind == "mms":
+    if system.spec.family.phi_u is None:
         phi_u = np.zeros_like(grid)
     else:
         phi_u = analytic.uncollided_scalar_flux(system.spec, grid, state.t)
@@ -287,7 +273,7 @@ def reference_solution(
 ) -> ReferenceSolution:
     """Reference scalar flux on the grid, with its trust gate.
 
-    The manufactured problem has an exact reference (gate 0).  Everything else
+    A family with an exact flux has it as reference (gate 0).  Everything else
     uses the uncollided moving-mesh solve at order 10 with four times the
     study's cells (rounded up to a multiple of 8, at least 32) and angles,
     gated by (a) its own spatial self-convergence against a twin of exactly
@@ -295,8 +281,10 @@ def reference_solution(
     fits can drop points that saturate at either floor.  Oracle files live in
     ``default_cache_dir()``.
     """
-    if spec.kind == "mms":
-        return ReferenceSolution(analytic.mms_phi(grid, t_final, spec.x0), 0.0, 0.0, 0.0, "exact")
+    family = spec.family
+    if family.exact is not None:
+        return ReferenceSolution(family.exact(grid, t_final, *spec.params), 0.0, 0.0, 0.0,
+                                 "exact")
     cache_dir = default_cache_dir()
     # The floor keeps order sweeps at small fixed K honest: without it the
     # oracle for a K=4 study would sit at 16 cells, whose self-convergence
@@ -307,7 +295,7 @@ def reference_solution(
     k_ref += -k_ref % 8
     k_half = k_ref // 2
     n_ref = ORACLE_ANGLE_FACTOR * study_angles
-    limit = GATE_LIMITS[spec.kind]
+    limit = family.gate
     # Stepper tolerance keyed to the trust gate: integrating a reference whose
     # spatial floor is 1e-4 at rtol 5e-13 buys nothing but wall time.  Four
     # decades of headroom keeps temporal error invisible in every study.

@@ -1,4 +1,5 @@
 """Closed-form transport results: uncollided fluxes, manufactured solution,
+the problem families' rules (one ``Family`` record each, in ``FAMILIES``)
 and the scattering-ratio scaling transform.
 
 All spatial profiles are even in x and use mean-free-path units (unit total
@@ -15,22 +16,15 @@ through the same floating-point operations whatever else the batch holds,
 so every profile gives a point the bits of a call at that point alone.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
+
 from ._scipy import erf, expi
+from .mesh import (hybrid_square_mesh, initial_width_for_gaussian, radial_half_mesh,
+                   radial_mesh, static_square_mesh, static_uniform_mesh)
 
-KINDS = (
-    "plane-pulse",
-    "square-pulse",
-    "square-source",
-    "gaussian-pulse",
-    "gaussian-source",
-    "mms",
-)
-
-PULSE_KINDS = ("plane-pulse", "square-pulse", "gaussian-pulse")
-SOURCE_KINDS = ("square-source", "gaussian-source")
 SQRT_PI = float(np.sqrt(np.pi))
 
 
@@ -40,6 +34,8 @@ class SourceSpec:
 
     amplitude scales the initial condition (and hence the uncollided flux)
     linearly; the scaling identity check uses it to match transformed runs.
+    The family's rules are ``family``, looked up in ``FAMILIES``: no field,
+    so the oracle cache key stays the parameters alone.
     """
 
     kind: str
@@ -50,22 +46,28 @@ class SourceSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if not np.all(np.isfinite([self.c, self.x0, self.sigma, self.t0, self.amplitude])):
             raise ValueError("c, x0, sigma, t0 and amplitude must be finite")
         if self.c < 0:
             raise ValueError("scattering ratio c must be >= 0")
-        if self.kind in ("square-pulse", "square-source", "mms") and self.x0 <= 0:
-            raise ValueError(f"{self.kind} needs x0 > 0")
-        if self.kind.startswith("gaussian") and self.sigma <= 0:
-            raise ValueError(f"{self.kind} needs sigma > 0")
-        if self.kind in SOURCE_KINDS and self.t0 <= 0:
-            raise ValueError(f"{self.kind} needs t0 > 0")
+        for name in self.family.reads:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{self.kind} needs {name} > 0")
         if self.kind == "plane-pulse" and self.x0 < 0:
             raise ValueError("plane-pulse x0 must be >= 0")
         if self.kind == "mms" and self.c != 1.0:
             raise ValueError("the manufactured problem is defined for c = 1")
+
+    @property
+    def family(self) -> "Family":
+        return FAMILIES[self.kind]
+
+    @property
+    def params(self) -> tuple:
+        """The values of the family's ``reads``, in order."""
+        return tuple(getattr(self, name) for name in self.family.reads)
 
 
 # ---------------------------------------------------------------------------
@@ -228,40 +230,138 @@ def mms_source(x, mu, t, x0):
 
 
 # ---------------------------------------------------------------------------
-# Problem-level helpers.
+# Problem families: each family's rules, stated once.
+
+# Effective initial half-width used when the moving mesh collapses onto a
+# plane pulse, and the deferred start for meshes that degenerate at t = 0.
+PLANE_EPS_X0 = 1e-10
+T_START_EPS = 1e-10
+# Plane uncollided runs defer further: cell widths grow like t, so explicit
+# stepping pays a fixed step count per decade of mesh growth.  The collided
+# production dropped by starting at t0 is ~c*t0 in mass, which at 1e-5 sits
+# an order under the plane trust-gate abort limit and three decades under
+# the smallest study error the saturation mask keeps.
+PLANE_T_START = 1e-5
+
+
+@dataclass(frozen=True)
+class Family:
+    """The rules of one problem family.  Those taking a spec read only its
+    fields in ``reads``, c and amplitude; those taking a config, its run."""
+
+    reads: tuple  # the spec fields read besides c and amplitude; each > 0
+    moving: Callable  # config -> the moving mesh law
+    pad: Callable  # spec -> the analysis grid's half-width past t_final
+    source: bool = False  # a source on while t <= t0, not an initial pulse
+    phi_u: Optional[Callable] = None  # (x, t, *reads) -> phi_u at unit amplitude
+    emitted: Optional[Callable] = None  # spec -> a pulse's particles, or a source's rate
+    profile: Optional[Callable] = None  # (spec, x, peak) -> shape; None: a delta
+    fronts: Optional[Callable] = None  # (spec, (T, 1) t) -> (T, R) kink columns of phi_u
+    kinks: Optional[Callable] = None  # the same, of profile
+    static: Optional[Callable] = None  # config -> the static mesh law
+    start: Callable = lambda config: 0.0  # config -> the deferred start time
+    gate: Optional[float] = None  # abort limit on the oracle's self-convergence
+    exact: Optional[Callable] = None  # (x, t, *reads) -> the exact scalar flux
+    refuses: dict = field(default_factory=dict)  # variant -> why it has no scheme
+
+
+def _square_source_fronts(spec, t):
+    """The source edge x0, its fronts t -+ x0 and, once the source is off
+    (t > t0), its shut-off fronts t - t0 -+ x0; of these only r > 0."""
+    x0 = spec.x0
+    after = np.where(t > spec.t0, t - spec.t0, np.nan)
+    radii = np.abs(np.hstack([np.full(t.shape, x0), t + x0, t - x0, after - x0, after + x0]))
+    return np.where(radii > 0.0, radii, np.nan)
+
+
+# The two square kinds share all but their time law and fronts, and so do
+# the two Gaussians.
+_SQUARE_PULSE = Family(
+    reads=("x0",),
+    phi_u=phi_u_square_pulse,
+    emitted=lambda spec: 2.0 * spec.x0,
+    profile=lambda spec, x, peak: np.where(np.abs(x) <= spec.x0, peak, 0.0),
+    fronts=lambda spec, t: np.hstack([np.abs(t - spec.x0), t + spec.x0]),
+    kinks=lambda spec, t: np.full(t.shape, spec.x0),
+    moving=lambda cfg: hybrid_square_mesh(cfg.n_cells, cfg.spec.x0),
+    static=lambda cfg: static_square_mesh(cfg.n_cells, cfg.spec.x0,
+                                          cfg.t_final + cfg.spec.x0),
+    # the hybrid mesh's moving quarters are born at zero width
+    start=lambda cfg: T_START_EPS if cfg.mesh_mode == "moving" else 0.0,
+    pad=lambda spec: spec.x0,
+    gate=1e-5,
+)
+_GAUSSIAN_PULSE = Family(
+    reads=("sigma",),
+    phi_u=phi_u_gaussian_pulse,
+    emitted=lambda spec: spec.sigma * SQRT_PI,
+    profile=lambda spec, x, peak: peak * np.exp(-(x * x) / (spec.sigma * spec.sigma)),
+    moving=lambda cfg: radial_mesh(cfg.n_cells, initial_width_for_gaussian(cfg.spec.sigma)),
+    static=lambda cfg: static_uniform_mesh(
+        cfg.n_cells, cfg.t_final + initial_width_for_gaussian(cfg.spec.sigma)),
+    pad=lambda spec: 3.0 * spec.sigma,
+    gate=1e-9,
+)
+_MMS_UNCOLLIDED = ("the manufactured problem drives the full flux directly; run it "
+                   "with source_mode='standard'")
+
+FAMILIES = {
+    "plane-pulse": Family(
+        reads=(),
+        phi_u=phi_u_plane,
+        emitted=lambda spec: 1.0,
+        fronts=lambda spec, t: t.copy(),
+        moving=lambda cfg: (radial_half_mesh if cfg.half_domain else radial_mesh)(
+            cfg.n_cells, PLANE_EPS_X0),
+        static=lambda cfg: static_uniform_mesh(cfg.n_cells, cfg.t_final),
+        # the collapsed mesh and the uncollided flux are singular at t = 0
+        start=lambda cfg: 0.0 if cfg.variant == "standard+static" else PLANE_T_START,
+        pad=lambda spec: 0.0,
+        gate=1e-4,
+        refuses={"standard+moving": (
+            "plane-pulse with a moving mesh requires the uncollided source treatment: "
+            "projecting the near-singular initial condition on collapsed cells does "
+            "not converge")},
+    ),
+    "square-pulse": _SQUARE_PULSE,
+    "square-source": replace(_SQUARE_PULSE, reads=("x0", "t0"), source=True,
+                             phi_u=phi_u_square_source, fronts=_square_source_fronts),
+    "gaussian-pulse": _GAUSSIAN_PULSE,
+    "gaussian-source": replace(_GAUSSIAN_PULSE, reads=("sigma", "t0"), source=True,
+                               phi_u=phi_u_gaussian_source),
+    "mms": Family(
+        reads=("x0",),
+        moving=lambda cfg: radial_mesh(cfg.n_cells, cfg.spec.x0),
+        pad=lambda spec: spec.x0,
+        exact=mms_phi,
+        refuses={"uncollided+static": _MMS_UNCOLLIDED, "uncollided+moving": _MMS_UNCOLLIDED,
+                 "standard+static": (
+                     "the manufactured problem imposes its wavefront boundary condition "
+                     "on a moving mesh; mesh_mode='static' cannot track it")},
+    ),
+}
+KINDS = tuple(FAMILIES)
 
 
 def uncollided_scalar_flux(spec: SourceSpec, x, t):
     """phi_u(x, t) for the source family named by ``spec.kind``."""
-    a = spec.amplitude
-    if spec.kind == "plane-pulse":
-        return a * phi_u_plane(x, t)
-    if spec.kind == "square-pulse":
-        return a * phi_u_square_pulse(x, t, spec.x0)
-    if spec.kind == "gaussian-pulse":
-        return a * phi_u_gaussian_pulse(x, t, spec.sigma)
-    if spec.kind == "square-source":
-        return a * phi_u_square_source(x, t, spec.x0, spec.t0)
-    if spec.kind == "gaussian-source":
-        return a * phi_u_gaussian_source(x, t, spec.sigma, spec.t0)
-    raise ValueError(f"no uncollided closed form for kind {spec.kind!r}")
+    phi_u = spec.family.phi_u
+    if phi_u is None:
+        raise ValueError(f"no uncollided closed form for kind {spec.kind!r}")
+    return spec.amplitude * phi_u(x, t, *spec.params)
 
 
 def uncollided_integral(spec: SourceSpec, t):
-    """integral(phi_u) dx over the slab at time t, in closed form."""
-    if spec.kind == "plane-pulse":
-        emitted = 1.0
-    elif spec.kind == "square-pulse":
-        emitted = 2.0 * spec.x0
-    elif spec.kind == "gaussian-pulse":
-        emitted = spec.sigma * SQRT_PI
-    elif spec.kind in SOURCE_KINDS:
-        rate = 2.0 * spec.x0 if spec.kind == "square-source" else spec.sigma * SQRT_PI
-        t_on = min(t, spec.t0)
-        return spec.amplitude * rate * (1.0 - np.exp(-t_on)) * np.exp(-(t - t_on))
-    else:
+    """integral(phi_u) dx over the slab at time t, in closed form: what the
+    family emits, times the pulse's or the source's time law."""
+    family = spec.family
+    if family.emitted is None:
         raise ValueError(f"no uncollided count for kind {spec.kind!r}")
-    return spec.amplitude * emitted * np.exp(-t)
+    emitted = spec.amplitude * family.emitted(spec)
+    if not family.source:
+        return emitted * np.exp(-t)
+    t_on = min(t, spec.t0)
+    return emitted * (1.0 - np.exp(-t_on)) * np.exp(-(t - t_on))
 
 
 def initial_psi(spec: SourceSpec, x, plane_half_width=None):
@@ -274,33 +374,26 @@ def initial_psi(spec: SourceSpec, x, plane_half_width=None):
     box toward the point pulse instead of stalling at a fixed smearing.
     """
     x = np.asarray(x, dtype=float)
-    a = spec.amplitude
-    if spec.kind == "gaussian-pulse":
-        return 0.5 * a * np.exp(-(x * x) / (spec.sigma * spec.sigma))
-    if spec.kind == "square-pulse":
-        return np.where(np.abs(x) <= spec.x0, 0.5 * a, 0.0)
-    if spec.kind == "plane-pulse":
+    if spec.kind == "mms":  # the manufactured problem starts on its solution
+        return mms_solution(x, 0.0, spec.x0)
+    family = spec.family
+    if family.source:
+        return np.zeros_like(x)
+    if family.profile is None:
         w = plane_half_width
         if w is None or w <= 0:
-            raise ValueError(
-                "plane-pulse initial data needs a positive box half-width"
-            )
-        return np.where(np.abs(x) <= w, 0.25 * a / w, 0.0)
-    if spec.kind == "mms":
-        return np.where(np.abs(x) <= spec.x0, 0.5 * np.exp(-0.5 * x * x), 0.0)
-    return np.zeros_like(x)
+            raise ValueError("plane-pulse initial data needs a positive box half-width")
+        return np.where(np.abs(x) <= w, 0.25 * spec.amplitude / w, 0.0)
+    return family.profile(spec, x, 0.5 * spec.amplitude)
 
 
 def volumetric_source(spec: SourceSpec, x, t):
     """Isotropic volumetric source S(x, t) for standard-mode solves."""
     x = np.asarray(x, dtype=float)
     on = np.asarray(t, dtype=float) <= spec.t0
-    if spec.kind == "square-source":
-        return np.where(on & (np.abs(x) <= spec.x0), spec.amplitude, 0.0)
-    if spec.kind == "gaussian-source":
-        profile = spec.amplitude * np.exp(-(x * x) / (spec.sigma * spec.sigma))
-        return np.where(on, profile, 0.0)
-    return np.zeros(np.broadcast(x, on).shape)
+    if not spec.family.source:
+        return np.zeros(np.broadcast(x, on).shape)
+    return np.where(on, spec.family.profile(spec, x, spec.amplitude), 0.0)
 
 
 def kink_radii(spec: SourceSpec, t, uncollided: bool):
@@ -312,21 +405,8 @@ def kink_radii(spec: SourceSpec, t, uncollided: bool):
     Projection quadrature splits cells there so each piece is smooth.
     """
     t = np.asarray(t, dtype=float)[:, None]
-    if spec.kind.startswith("gaussian") or spec.kind == "mms":
-        return np.empty((t.size, 0))
-    x0 = spec.x0
-    if not uncollided:
-        return np.full((t.size, 1), x0) if x0 > 0 else np.empty((t.size, 0))
-    if spec.kind == "plane-pulse":
-        return t.copy()
-    if spec.kind == "square-pulse":
-        return np.hstack([np.abs(t - x0), t + x0])
-    # square source: the source edge x0, its fronts t -+ x0 and, once the
-    # source is off (t > t0), its shut-off fronts t - t0 -+ x0; of these
-    # only r > 0
-    after = np.where(t > spec.t0, t - spec.t0, np.nan)
-    radii = np.abs(np.hstack([np.full(t.shape, x0), t + x0, t - x0, after - x0, after + x0]))
-    return np.where(radii > 0.0, radii, np.nan)
+    rule = spec.family.fronts if uncollided else spec.family.kinks
+    return np.empty((t.size, 0)) if rule is None else rule(spec, t)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +419,8 @@ def scaled_parameters(spec: SourceSpec, t_final):
     Widths stretch by 1/c and the comparison time by 1/c; the initial
     amplitude picks up a factor c so the transform below is exact.
     """
-    if spec.kind not in PULSE_KINDS:
+    family = spec.family
+    if family.source or family.phi_u is None:
         raise ValueError(
             "the scaling identity covers the initial-value pulses only; it "
             "does not hold with a volumetric or manufactured source"
@@ -349,11 +430,6 @@ def scaled_parameters(spec: SourceSpec, t_final):
         raise ValueError("scaling requires c > 0")
     # Finite-width profiles pick up amplitude c under the stretch; the plane
     # pulse's delta profile absorbs it (delta(c x) = delta(x) / c).
-    amp = spec.amplitude if spec.kind == "plane-pulse" else spec.amplitude * c
-    scaled = replace(
-        spec,
-        x0=spec.x0 / c if spec.x0 else spec.x0,
-        sigma=spec.sigma / c if spec.sigma else spec.sigma,
-        amplitude=amp,
-    )
-    return scaled, t_final / c
+    amp = spec.amplitude if family.profile is None else spec.amplitude * c
+    widths = {name: getattr(spec, name) / c for name in family.reads}
+    return replace(spec, amplitude=amp, **widths), t_final / c

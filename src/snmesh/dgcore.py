@@ -27,38 +27,16 @@ from typing import Optional
 import numpy as np
 
 from . import analytic
-from .analytic import SOURCE_KINDS, SourceSpec
+from .analytic import SourceSpec
 from .basis import index_masks, legendre_table
 from .integrate import IntegrationStats, integrate
-from .mesh import (
-    Mesh,
-    edge_table,
-    hybrid_square_mesh,
-    initial_width_for_gaussian,
-    radial_half_mesh,
-    radial_mesh,
-    static_square_mesh,
-    static_uniform_mesh,
-)
+from .mesh import Mesh, edge_table
 from .projection import (cell_moments, mirror_symmetric, mirrored_values,
                          moment_table, projection_points)
 from .quadrature import gauss_legendre, gauss_lobatto
 
 SOURCE_MODES = ("standard", "uncollided")
 MESH_MODES = ("static", "moving")
-
-# Effective initial half-width used when the moving mesh collapses onto a
-# plane pulse, and the deferred start for meshes that degenerate at t = 0.
-PLANE_EPS_X0 = 1e-10
-T_START_EPS = 1e-10
-# Plane uncollided runs defer further: cell widths grow like t, so explicit
-# stepping pays a fixed step count per decade of mesh growth.  The collided
-# production dropped by starting at t0 is ~c*t0 in mass, which at 1e-5 sits
-# an order under the plane trust-gate abort limit and three decades under
-# the smallest study error the saturation mask keeps.
-PLANE_T_START = 1e-5
-
-_SQUARE_KINDS = ("square-pulse", "square-source")
 
 
 @dataclass(frozen=True)
@@ -89,34 +67,11 @@ class RunConfig:
             raise ValueError("order must be >= 0")
         if not 0 < self.t_final < np.inf:
             raise ValueError("t_final must be positive and finite")
-        kind = self.spec.kind
-        if kind == "mms":
-            if self.source_mode != "standard":
-                raise ValueError(
-                    "the manufactured problem drives the full flux directly; "
-                    "run it with source_mode='standard'"
-                )
-            if self.mesh_mode != "moving":
-                raise ValueError(
-                    "the manufactured problem imposes its wavefront boundary "
-                    "condition on a moving mesh; mesh_mode='static' cannot "
-                    "track it"
-                )
-        if (
-            kind == "plane-pulse"
-            and self.mesh_mode == "moving"
-            and self.source_mode == "standard"
-        ):
-            raise ValueError(
-                "plane-pulse with a moving mesh requires the uncollided "
-                "source treatment: projecting the near-singular initial "
-                "condition on collapsed cells does not converge"
-            )
-        if self.half_domain and not (
-            kind == "plane-pulse"
-            and self.mesh_mode == "moving"
-            and self.source_mode == "uncollided"
-        ):
+        reason = self.spec.family.refuses.get(self.variant)
+        if reason:
+            raise ValueError(reason)
+        if self.half_domain and not (self.spec.kind == "plane-pulse"
+                                     and self.variant == "uncollided+moving"):
             raise ValueError(
                 "half_domain is wired only for the plane-pulse uncollided "
                 "moving mesh, the one case whose cost warrants it"
@@ -126,7 +81,7 @@ class RunConfig:
         start = start_time(self)
         if self.t_final < start:
             raise ValueError(
-                f"t_final {self.t_final:g} is before this {kind} "
+                f"t_final {self.t_final:g} is before this {self.spec.kind} "
                 f"{self.variant} run's deferred start t = {start:g}"
             )
 
@@ -136,39 +91,15 @@ class RunConfig:
 
 
 def build_mesh(config: RunConfig) -> Mesh:
-    """Mesh law implied by the problem kind and mesh mode."""
-    spec, K = config.spec, config.n_cells
-    kind = spec.kind
-    if kind == "mms":
-        return radial_mesh(K, spec.x0)
-    if config.mesh_mode == "moving":
-        if kind == "plane-pulse":
-            if config.half_domain:
-                return radial_half_mesh(K, PLANE_EPS_X0)
-            return radial_mesh(K, PLANE_EPS_X0)
-        if kind in _SQUARE_KINDS:
-            return hybrid_square_mesh(K, spec.x0)
-        return radial_mesh(K, initial_width_for_gaussian(spec.sigma))
-    if kind == "plane-pulse":
-        return static_uniform_mesh(K, config.t_final)
-    if kind in _SQUARE_KINDS:
-        return static_square_mesh(K, spec.x0, config.t_final + spec.x0)
-    return static_uniform_mesh(
-        K, config.t_final + initial_width_for_gaussian(spec.sigma)
-    )
+    """Mesh law implied by the problem family and mesh mode."""
+    family = config.spec.family
+    return (family.moving if config.mesh_mode == "moving" else family.static)(config)
 
 
 def start_time(config: RunConfig) -> float:
     """Most problems start at t = 0; runs whose mesh or source is singular
     there are deferred to a small positive epsilon."""
-    kind = config.spec.kind
-    if kind == "plane-pulse" and (
-        config.mesh_mode == "moving" or config.source_mode == "uncollided"
-    ):
-        return PLANE_T_START
-    if config.mesh_mode == "moving" and kind in _SQUARE_KINDS:
-        return T_START_EPS
-    return 0.0
+    return config.spec.family.start(config)
 
 
 @dataclass
@@ -279,7 +210,7 @@ class TransportSystem:
             slope = self.project_function(
                 times, lambda x, t: src(1.0, x, t) - src(0.0, x, t), kinks, False, table)
             return 0.5 * (even[:, None] + self.mu[None, :, None, None] * slope[:, None])
-        if spec.kind in SOURCE_KINDS:
+        if spec.family.source:
             src = lambda x, t: analytic.volumetric_source(spec, x, t)
             return 0.5 * self.project_function(
                 times, src, analytic.kink_radii(spec, times, False), True, table)
@@ -405,7 +336,7 @@ class TransportSystem:
     def advance(self, state: SolutionState, t_target: float):
         """Integrate the state to t_target; returns (state, stats)."""
         at_start = state.t <= self.t_start and self.t_start > 0.0
-        first = min(T_START_EPS, t_target - state.t) if at_start else None
+        first = min(analytic.T_START_EPS, t_target - state.t) if at_start else None
         try:
             y, stats = integrate(
                 self.rhs_flat, state.coeffs.ravel(), state.t, t_target,
@@ -421,9 +352,8 @@ class TransportSystem:
         source cutoff inside the span."""
         t_end = self.config.t_final
         stops = []
-        if self.spec.kind in SOURCE_KINDS:
-            if self.t_start < self.spec.t0 < t_end:
-                stops.append(float(self.spec.t0))
+        if self.spec.family.source and self.t_start < self.spec.t0 < t_end:
+            stops.append(float(self.spec.t0))
         wall0 = time.perf_counter()
         state = self.project_initial_condition()
         stats = IntegrationStats()

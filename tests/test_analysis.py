@@ -10,9 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from snmesh import analysis
+from snmesh import analysis, analytic
 from snmesh.analysis import (
-    GATE_LIMITS,
     ORACLE_MIN_CELLS,
     OracleGateError,
     analysis_grid,
@@ -22,11 +21,13 @@ from snmesh.analysis import (
     reference_solution,
     rmse,
     saturation_mask,
+    solution_table,
 )
 from snmesh.analytic import SourceSpec
-from snmesh.dgcore import RunConfig
+from snmesh.dgcore import RunConfig, TransportSystem
 from snmesh.presets import config_from_settings, preset_names, preset_settings
-from snmesh.study import ConvergenceStudy, VariantRecord
+from snmesh.study import (VARIANTS, ConvergenceStudy, VariantRecord, split_variant,
+                          variant_feasible)
 
 
 class TestRmse:
@@ -175,6 +176,39 @@ class TestFingerprint:
         assert [config_fingerprint(c, grid) for c in configs] == keys
 
 
+# A family's own parameters, and another value for each field it does not read.
+READ_VALUES = dict(x0=0.5, sigma=0.5, t0=0.25)
+UNREAD_VALUES = dict(x0=0.3, sigma=0.3, t0=0.25)
+
+
+def unread_field_cases():
+    """(spec, variant, field) for every family, every variant it can run at
+    8 cells and every parameter field outside the family's reads."""
+    for kind, family in analytic.FAMILIES.items():
+        spec = SourceSpec(kind, **{name: READ_VALUES[name] for name in family.reads})
+        for variant in VARIANTS:
+            if variant_feasible(spec, variant, 8):
+                for name in sorted(UNREAD_VALUES.keys() - set(family.reads)):
+                    yield spec, variant, name
+
+
+@pytest.mark.parametrize("spec,variant,name", list(unread_field_cases()),
+                         ids=lambda v: v.kind if isinstance(v, SourceSpec) else v)
+def test_a_field_the_family_does_not_read_leaves_the_solve_alone(spec, variant, name):
+    # so a cache key that hashes only the fields a family reads names the
+    # same solve; t0 = 0.25 falls inside the run, where a source would stop
+    source_mode, mesh_mode = split_variant(variant)
+
+    def table(s):
+        system = TransportSystem(RunConfig(spec=s, n_angles=4, order=2, n_cells=8,
+                                           mesh_mode=mesh_mode, source_mode=source_mode,
+                                           t_final=0.5))
+        state = system.solve().state
+        return solution_table(system, state, analysis_grid(s, 0.5)).tobytes()
+
+    assert table(replace(spec, **{name: UNREAD_VALUES[name]})) == table(spec)
+
+
 class TestWriter:
     @staticmethod
     def rows_then_fail():
@@ -209,7 +243,7 @@ class TestOracleCache:
         ref = reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
                                  study_angles=4)
         assert ref.label == "oracle"
-        assert 0.0 < ref.gate_spatial < GATE_LIMITS["gaussian-pulse"]
+        assert 0.0 < ref.gate_spatial < self.SPEC.family.gate
         assert ref.gate_angular > ref.gate_spatial  # N = 4 is very coarse
         assert ref.gate == max(ref.gate_spatial, ref.gate_angular)
         assert np.all(ref.phi >= -1e-12)
@@ -238,7 +272,8 @@ class TestOracleCache:
         grid = analysis_grid(self.SPEC, 0.5)
         reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
                            study_angles=4)
-        monkeypatch.setitem(analysis.GATE_LIMITS, self.SPEC.kind, 1e-18)
+        monkeypatch.setitem(analytic.FAMILIES, self.SPEC.kind,
+                            replace(self.SPEC.family, gate=1e-18))
         with pytest.raises(OracleGateError):
             reference_solution(self.SPEC, 0.5, grid, study_max_cells=2,
                                study_angles=4)

@@ -671,7 +671,8 @@ def per_time_kinks(spec, t, uncollided):
     if spec.kind.startswith("gaussian") or spec.kind == "mms":
         return ()
     if not uncollided:
-        return (spec.x0,) if spec.x0 > 0 else ()
+        # the square profiles' edge; the plane pulse reads no x0
+        return (spec.x0,) if spec.kind.startswith("square") else ()
     if spec.kind == "plane-pulse":
         return (t,)
     if spec.kind == "square-pulse":

@@ -20,18 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snmesh import analytic as an, projection
-from snmesh.analytic import SourceSpec
+from snmesh.analytic import PLANE_EPS_X0, PLANE_T_START, T_START_EPS, SourceSpec
 from snmesh.basis import legendre_table
-from snmesh.dgcore import (
-    PLANE_EPS_X0,
-    RunConfig,
-    SolutionState,
-    PLANE_T_START,
-    T_START_EPS,
-    TransportSystem,
-    build_mesh,
-    start_time,
-)
+from snmesh.dgcore import RunConfig, SolutionState, TransportSystem, build_mesh, start_time
 from snmesh.integrate import _C, IntegrationError
 from snmesh.mesh import (edge_table, hybrid_square_mesh, radial_mesh,
                          static_square_mesh, static_uniform_mesh)
@@ -390,7 +381,7 @@ def per_time_source(system, t):
             system, ms,
             lambda x: an.mms_source(x, 1.0, t, spec.x0) - an.mms_source(x, 0.0, t, spec.x0))
         return 0.5 * (even[None] + system.mu[:, None, None] * slope[None])
-    if spec.kind in an.SOURCE_KINDS:
+    if spec.family.source:
         kinks = kink_row(spec, t, uncollided=False)
         src = lambda x: an.volumetric_source(spec, x, t)
         return 0.5 * _per_time_project(system, ms, src, kinks)

@@ -13,8 +13,8 @@ from scipy.integrate import DOP853
 
 import snmesh
 from snmesh import integrate as stepper
-from snmesh.analytic import SourceSpec
-from snmesh.dgcore import T_START_EPS, RunConfig, TransportSystem
+from snmesh.analytic import T_START_EPS, SourceSpec
+from snmesh.dgcore import RunConfig, TransportSystem
 from snmesh.integrate import IntegrationError, IntegrationStats, integrate
 
 # the solver's default tolerances, RunConfig.rtol and RunConfig.atol

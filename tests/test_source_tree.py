@@ -1,5 +1,6 @@
 """Checks on the package source: no dead private names, and every name
-the benchmark's tracer patches exists."""
+the benchmark's tracer patches exists, and its source-layer names see the
+solver's calls."""
 
 import ast
 import os
@@ -52,7 +53,7 @@ def test_every_private_module_name_is_read():
 def test_benchmark_tracer_finds_every_name_it_patches():
     # perfbench/tracing.py wraps snmesh attributes by name; a renamed one
     # raises AttributeError in install.  A fresh process, since install
-    # patches the modules it imports, and -B, so it leaves no bytecode
+    # patches the modules it imports
     stub = (
         "import sys; sys.path.insert(0, 'perfbench')\n"
         "import tracing\n"
@@ -62,7 +63,46 @@ def test_benchmark_tracer_finds_every_name_it_patches():
         "        return fn\n"
         "assert tracing.install(Stub()) is cli.main\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run([sys.executable, "-B", "-c", stub], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
+    proc = _run_fresh(stub)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_sees_the_source_layer(tmp_path):
+    # the per-layer source metrics read the spans of analytic's two source
+    # entry points: a solver that went round them would leave those metrics
+    # at zero, so one uncollided and one standard-mode source solve must
+    # each call theirs, inside the solve, through the names the tracer wraps
+    stub = (
+        "import collections, sys; sys.path.insert(0, 'perfbench')\n"
+        "import tracing\n"
+        "calls, stack = collections.Counter(), []\n"
+        "class Stub:\n"
+        "    def wrap(self, name, fn, describe=None):\n"
+        "        def counted(*args, **kwargs):\n"
+        "            calls[name] += 'dgcore.solve' in stack\n"
+        "            stack.append(name)\n"
+        "            try:\n"
+        "                return fn(*args, **kwargs)\n"
+        "            finally:\n"
+        "                stack.pop()\n"
+        "        return counted\n"
+        "main = tracing.install(Stub())\n"
+        "run = ['solve', '--kind', 'square-source', '--x0', '0.5', '--t0', '0.1',\n"
+        "       '--N', '4', '--M', '1', '--K', '4', '--t', '0.2']\n"
+        "assert main(run + ['--out-dir', sys.argv[1] + '/u']) == 0\n"
+        "assert calls['analytic.phi_u'] > 0, calls\n"
+        "assert calls['analytic.volumetric_source'] == 0, calls\n"
+        "assert main(run + ['--mesh', 'static', '--source-mode', 'standard',\n"
+        "                   '--out-dir', sys.argv[1] + '/s']) == 0\n"
+        "assert calls['analytic.volumetric_source'] > 0, calls\n"
+    )
+    proc = _run_fresh(stub, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def _run_fresh(script, *args):
+    """``script`` in a fresh Python process from the repository root, with
+    -B, so it leaves no bytecode."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-B", "-c", script, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
