@@ -42,7 +42,7 @@ _ORACLE_TAG = "# snmesh-oracle "  # first line of an oracle file, before its JSO
 # The numerical scheme an oracle file was solved with.  The cache key hashes
 # the config alone, so a change to the solver that moves the numbers bumps
 # this on purpose, and a file of another scheme (or of none) is a miss.
-ORACLE_SCHEME = 2
+ORACLE_SCHEME = 3
 
 
 class OracleGateError(RuntimeError):
@@ -161,9 +161,12 @@ def default_cache_dir() -> Path:
 
 
 def config_fingerprint(config: RunConfig, grid: np.ndarray) -> str:
-    # every RunConfig and SourceSpec field, so none can miss the key
+    # every run field and the spec fields a solve reads: its kind, c,
+    # amplitude and the family's reads, so a field it ignores names no file
     payload = asdict(config)
-    payload.update(payload.pop("spec"))
+    spec = payload.pop("spec")
+    payload.update({name: spec[name]
+                    for name in ("kind", "c", "amplitude", *config.spec.family.reads)})
     payload["grid"] = [float(grid[0]), float(grid[-1]), int(grid.size)]
     blob = json.dumps(payload, sort_keys=True).encode()
     return sha256(blob).hexdigest()[:24]
@@ -301,23 +304,18 @@ def reference_solution(
     # decades of headroom keeps temporal error invisible in every study.
     o_rtol = float(min(max(limit * 1e-4, 5e-13), 1e-8))
     o_atol = max(0.1 * o_rtol, 1e-12)
-    # The plane problem is even in (x, mu), so its oracle runs on the right
-    # half with a mirror boundary; k//2 half cells keep the cell width of a
-    # k-cell full solve while halving the dominant wavefront-transient cost.
-    half = spec.kind == "plane-pulse"
 
     def oracle_config(k, n):
         return RunConfig(
             spec=spec,
             n_angles=n,
             order=ORACLE_ORDER,
-            n_cells=k // 2 if half else k,
+            n_cells=k,
             mesh_mode="moving",
             source_mode="uncollided",
             t_final=t_final,
             rtol=o_rtol,
             atol=o_atol,
-            half_domain=half,
         )
 
     phi_ref = _oracle_solve(oracle_config(k_ref, n_ref), grid, cache_dir)

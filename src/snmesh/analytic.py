@@ -3,12 +3,11 @@ the problem families' rules (one ``Family`` record each, in ``FAMILIES``)
 and the scattering-ratio scaling transform.
 
 All spatial profiles are even in x and use mean-free-path units (unit total
-cross section, unit wave speed).  The scalar fluxes and sources see x only
-through |x| or x * x, so they are even bit for bit: a projection on a
-mirror-symmetric mesh evaluates them on the nodes x >= 0 alone.  Support
-indicators are closed: a point on a wavefront gets the limit from inside,
-which keeps grid comparisons against reconstructed cell traces well
-defined.
+cross section, unit wave speed), so the solver runs on the right half-slab
+behind a reflecting edge at x = 0 and its projections evaluate them on
+nodes x >= 0 alone.  Support indicators are closed: a point on a wavefront
+gets the limit from inside, which keeps grid comparisons against
+reconstructed cell traces well defined.
 
 The fluxes and sources take t as a scalar or as an array that broadcasts
 with x, so one call covers points at several times.  Each element goes
@@ -22,8 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._scipy import erf, expi
-from .mesh import (hybrid_square_mesh, initial_width_for_gaussian, radial_half_mesh,
-                   radial_mesh, static_square_mesh, static_uniform_mesh)
+from .mesh import (hybrid_square_mesh, initial_width_for_gaussian, radial_mesh,
+                   static_square_mesh, static_uniform_mesh)
 
 SQRT_PI = float(np.sqrt(np.pi))
 
@@ -311,8 +310,7 @@ FAMILIES = {
         phi_u=phi_u_plane,
         emitted=lambda spec: 1.0,
         fronts=lambda spec, t: t.copy(),
-        moving=lambda cfg: (radial_half_mesh if cfg.half_domain else radial_mesh)(
-            cfg.n_cells, PLANE_EPS_X0),
+        moving=lambda cfg: radial_mesh(cfg.n_cells, PLANE_EPS_X0),
         static=lambda cfg: static_uniform_mesh(cfg.n_cells, cfg.t_final),
         # the collapsed mesh and the uncollided flux are singular at t = 0
         start=lambda cfg: 0.0 if cfg.variant == "standard+static" else PLANE_T_START,

@@ -23,17 +23,24 @@ from .presets import (DEFAULTS, config_from_settings, preset_names, preset_setti
                       spec_from_settings)
 from .study import VARIANTS, run_convergence, run_scalecheck
 
+
+def _read_by(name):
+    """Which kinds read the spec field ``name``, for its flag's help."""
+    return "read by " + ", ".join(
+        kind for kind, family in analytic.FAMILIES.items() if name in family.reads)
+
+
 # The problem parameters, one row each: config-file key, flag spellings,
 # settings key, type, and the flag's choices or help text.
 _PARAMETERS = (
     ("kind", ("--kind",), "kind", str, analytic.KINDS),
     ("c", ("--c",), "c", float, "scattering ratio"),
-    ("x0", ("--x0",), "x0", float, "square half-width, mms support; plane pulse ignores it"),
-    ("sigma", ("--sigma",), "sigma", float, "Gaussian width"),
-    ("t0", ("--t0",), "t0", float, "source switch-off time"),
+    ("x0", ("--x0",), "x0", float, "square half-width, mms support; " + _read_by("x0")),
+    ("sigma", ("--sigma",), "sigma", float, "Gaussian width; " + _read_by("sigma")),
+    ("t0", ("--t0",), "t0", float, "source switch-off time; " + _read_by("t0")),
     ("N", ("--N",), "angles", int, "number of discrete directions"),
     ("M", ("--M",), "order", int, "basis order per cell (M+1 functions)"),
-    ("K", ("--K",), "cells", int, "number of mesh cells"),
+    ("K", ("--K",), "cells", int, "number of mesh cells, even"),
     ("mesh", ("--mesh",), "mesh_mode", str, MESH_MODES),
     ("source_mode", ("--source-mode",), "source_mode", str, SOURCE_MODES),
     ("t_final", ("--t", "--t-final"), "t_final", float, "final time"),

@@ -1,6 +1,11 @@
 """Moving-mesh discontinuous Galerkin discretization of single-speed slab
 transport with isotropic scattering.
 
+Every problem is even in x, and so is every mesh law, so the state covers
+the right half-slab alone: its cells are the right half of the law's
+n_cells, and the edge at x = 0 reflects, the inflow at mu taking the
+outgoing trace at -mu.
+
 State layout: coefficients u[j, l, k] for Legendre moment j, discrete
 direction l and cell k, flattened in C order for the time integrator.  For
 each direction the semidiscrete system on a moving cell reads
@@ -31,8 +36,7 @@ from .analytic import SourceSpec
 from .basis import index_masks, legendre_table
 from .integrate import IntegrationStats, integrate
 from .mesh import Mesh, edge_table
-from .projection import (cell_moments, mirror_symmetric, mirrored_values,
-                         moment_table, projection_points)
+from .projection import cell_moments, moment_table, projection_points
 from .quadrature import gauss_legendre, gauss_lobatto
 
 SOURCE_MODES = ("standard", "uncollided")
@@ -52,9 +56,6 @@ class RunConfig:
     t_final: float = 1.0
     rtol: float = 5e-13
     atol: float = 1e-12
-    # Solve the right half [0, R(t)] with a mirror boundary at the origin;
-    # n_cells counts half cells, the resolution of a 2*n_cells full solve.
-    half_domain: bool = False
 
     def __post_init__(self):
         if self.mesh_mode not in MESH_MODES:
@@ -70,12 +71,6 @@ class RunConfig:
         reason = self.spec.family.refuses.get(self.variant)
         if reason:
             raise ValueError(reason)
-        if self.half_domain and not (self.spec.kind == "plane-pulse"
-                                     and self.variant == "uncollided+moving"):
-            raise ValueError(
-                "half_domain is wired only for the plane-pulse uncollided "
-                "moving mesh, the one case whose cost warrants it"
-            )
         # the mesh laws state the cell-count rules
         build_mesh(self)
         start = start_time(self)
@@ -91,9 +86,15 @@ class RunConfig:
 
 
 def build_mesh(config: RunConfig) -> Mesh:
-    """Mesh law implied by the problem family and mesh mode."""
+    """The right half, x >= 0, of the mesh law of the problem family and mesh
+    mode on n_cells cells: an even count, so that x = 0 is an edge."""
+    if config.n_cells < 2 or config.n_cells % 2:
+        raise ValueError(f"the cell count must be even and at least 2, got "
+                         f"{config.n_cells}: the solve runs on the right half")
     family = config.spec.family
-    return (family.moving if config.mesh_mode == "moving" else family.static)(config)
+    full = (family.moving if config.mesh_mode == "moving" else family.static)(config)
+    half = config.n_cells // 2
+    return Mesh(full.initial_edges[half:], full.velocities[half:], full.law)
 
 
 def start_time(config: RunConfig) -> float:
@@ -106,7 +107,7 @@ def start_time(config: RunConfig) -> float:
 class SolutionState:
     """DG coefficients at one time."""
 
-    coeffs: np.ndarray  # (order + 1, n_angles, n_cells)
+    coeffs: np.ndarray  # (order + 1, n_angles, n_cells // 2)
     t: float
 
 
@@ -124,6 +125,7 @@ class TransportSystem:
         self.config = config
         self.spec = config.spec
         self.mesh = build_mesh(config)
+        self.n_cells = config.n_cells // 2  # the cells of the right half
         self.t_start = start_time(config)
         rule = gauss_lobatto(config.n_angles)
         self.mu = rule.nodes
@@ -134,10 +136,8 @@ class TransportSystem:
         self._proj_rule = gauss_legendre(config.order + 7)
         self._moment_table = moment_table(self._proj_rule, self._sq)
         self._uncollided = config.source_mode == "uncollided"
-        self._reflect_left = config.half_domain
         # source moments and mesh factors of the current step attempt, keyed
-        # by stage time; the last panel plan, in mirror order on a
-        # mirror-symmetric mesh, whatever the profile's parity
+        # by stage time; the last panel plan
         self._prepared = {}
         self._plan = None
         # The per-cell gradient and motion matrices are fixed index patterns
@@ -155,7 +155,6 @@ class TransportSystem:
         self._even_pattern = (np.where(even_lower, coupled, 0.0)
                               if even_lower.any() and self._hdot.any() else None)
         self._diag_weights = 2.0 * j + 1.0
-        self._mirrored = mirror_symmetric(self.mesh)
         self._odd_speed = 2.0 * self.mu[:, None] - (vel[:-1] + vel[1:])[None, :]
         self._rel = self.mu[:, None] - vel[None, :]
         self._upwind_left = self._rel > 0.0
@@ -167,31 +166,26 @@ class TransportSystem:
         return edge_table(self.mesh, t)
 
     def boundary_values(self, t: float):
-        """Inflow angular-flux traces just outside the outer edges."""
+        """Inflow angular-flux trace just outside the outer edge."""
         n = self.config.n_angles
         if self.spec.kind == "mms":
             edge = self.mesh.initial_edges[-1] + self.mesh.velocities[-1] * t
-            val = float(analytic.mms_solution(edge, t, self.spec.x0))
-            return np.full(n, val), np.full(n, val)
-        zero = np.zeros(n)
-        return zero, zero
+            return np.full(n, float(analytic.mms_solution(edge, t, self.spec.x0)))
+        return np.zeros(n)
 
     # -- projections -------------------------------------------------------
 
-    def project_function(self, times, f, kinks, even=False, table=None):
+    def project_function(self, times, f, kinks, table=None):
         """Per-cell moments (T, K, J) of f(x, t) at each of the times; f
-        takes the node positions and their times as flat arrays.  ``kinks``
-        is the (T, R) table of |x| where f loses smoothness (as kink_radii;
-        R = 0 for a smooth f), ``table`` the times' edge table if known.  An
-        ``even`` f, f(-x, t) == f(x, t) bit for bit, sees only the nodes
-        x > 0 on a mirror-symmetric mesh."""
+        takes the node positions, all x >= 0, and their times as flat
+        arrays.  ``kinks`` is the (T, R) table of |x| where f loses
+        smoothness (as kink_radii; R = 0 for a smooth f), ``table`` the
+        times' edge table if known."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         edges, widths = edge_table(self.mesh, times) if table is None else table
         self._plan, (x, node_t, *rest) = projection_points(
-            self._plan, edges, kinks, times, self._proj_rule, self._mirrored)
-        values = (mirrored_values(f, x, node_t) if even and self._mirrored
-                  else f(x, node_t))
-        return cell_moments(values, *rest, widths, self._sq, self._moment_table)
+            self._plan, edges, kinks, times, self._proj_rule)
+        return cell_moments(f(x, node_t), *rest, widths, self._sq, self._moment_table)
 
     def source_moments(self, times, table=None):
         """Projected per-direction source at each of the times: (T, K, J) if
@@ -201,20 +195,19 @@ class TransportSystem:
         if self._uncollided:
             phi_u = lambda x, t: analytic.uncollided_scalar_flux(spec, x, t)
             return 0.5 * spec.c * self.project_function(
-                times, phi_u, analytic.kink_radii(spec, times, True), True, table)
+                times, phi_u, analytic.kink_radii(spec, times, True), table)
         if spec.kind == "mms":
             src = lambda mu, x, t: analytic.mms_source(x, mu, t, spec.x0)
             kinks = analytic.kink_radii(spec, times, False)
-            even = self.project_function(
-                times, lambda x, t: src(0.0, x, t), kinks, True, table)
+            even = self.project_function(times, lambda x, t: src(0.0, x, t), kinks, table)
             slope = self.project_function(
-                times, lambda x, t: src(1.0, x, t) - src(0.0, x, t), kinks, False, table)
+                times, lambda x, t: src(1.0, x, t) - src(0.0, x, t), kinks, table)
             return 0.5 * (even[:, None] + self.mu[None, :, None, None] * slope[:, None])
         if spec.family.source:
             src = lambda x, t: analytic.volumetric_source(spec, x, t)
             return 0.5 * self.project_function(
-                times, src, analytic.kink_radii(spec, times, False), True, table)
-        return np.zeros((times.size, self.config.n_cells, self.config.order + 1))
+                times, src, analytic.kink_radii(spec, times, False), table)
+        return np.zeros((times.size, self.n_cells, self.config.order + 1))
 
     def _mesh_factors(self, h):
         """Per-time scalings of the RHS for (T, K) cell widths h, moment-major:
@@ -247,7 +240,7 @@ class TransportSystem:
         """State at the start time: projected initial flux, or zero in
         uncollided mode (the analytic part carries the initial particles)."""
         cfg = self.config
-        shape = (cfg.order + 1, cfg.n_angles, cfg.n_cells)
+        shape = (cfg.order + 1, cfg.n_angles, self.n_cells)
         if self._uncollided:
             return SolutionState(np.zeros(shape), self.t_start)
         kinks = analytic.kink_radii(self.spec, [self.t_start], uncollided=False)
@@ -257,10 +250,7 @@ class TransportSystem:
             # meeting at the origin: exactly representable, and halved with
             # the cells, so the standard treatment converges toward the point
             # pulse rather than toward a fixed smeared problem.
-            edges, _ = self.mesh_at(self.t_start)
-            i = int(np.argmin(np.abs(edges)))
-            i = min(max(i, 1), cfg.n_cells - 1)
-            plane_w = float(edges[i + 1] - edges[i])
+            plane_w = float(self.mesh_at(self.t_start)[1][0])
             kinks = np.array([[plane_w]])
         psi0 = lambda x, t: analytic.initial_psi(self.spec, x, plane_w)
         coeffs = self.project_function([self.t_start], psi0, kinks)
@@ -301,13 +291,10 @@ class TransportSystem:
                     out=from_left[:, 1:])
         np.multiply((self._alt @ flat).reshape(n, k_cells), inv_sqrt_h,
                     out=from_right[:, :-1])
-        bc_left, bc_right = self.boundary_values(t)
-        if self._reflect_left:
-            # mirror boundary at the origin: inflow at +mu is the outgoing
-            # trace of -mu (directions are symmetric, so reversed order)
-            bc_left = from_right[::-1, 0]
-        from_left[:, 0] = bc_left
-        from_right[:, -1] = bc_right
+        # the reflecting edge at x = 0: the inflow at +mu is the outgoing
+        # trace at -mu (the directions are symmetric, so in reverse order)
+        from_left[:, 0] = from_right[::-1, 0]
+        from_right[:, -1] = self.boundary_values(t)
         flux = np.where(self._upwind_left, from_left, from_right)
         flux *= self._rel
         np.multiply(flux[None, :, 1:], right[:, None, :], out=part)
@@ -328,7 +315,7 @@ class TransportSystem:
 
     def rhs_flat(self, t: float, y: np.ndarray) -> np.ndarray:
         cfg = self.config
-        u = y.reshape(cfg.order + 1, cfg.n_angles, cfg.n_cells)
+        u = y.reshape(cfg.order + 1, cfg.n_angles, self.n_cells)
         return self.rhs_coeffs(t, u).ravel()
 
     # -- time advancement ----------------------------------------------------
@@ -370,16 +357,18 @@ class TransportSystem:
         return self.weights @ state.coeffs
 
     def scalar_flux(self, state: SolutionState, points):
-        """Scalar flux at the points, at |x| in a half-domain solve (edge hits read
-        the left cell), with the analytic uncollided part in uncollided mode."""
+        """Scalar flux at the points, with the analytic uncollided part in
+        uncollided mode.  A point x < 0 reads its mirror |x|; a point on an
+        edge reads the cell on its left, so its mirror reads the one on the
+        right of |x|."""
         edges, widths = self.mesh_at(state.t)
-        pts = np.asarray(np.abs(points) if self._reflect_left else points, dtype=float)
-        slack = 1e-12 * max(1.0, edges[-1] - edges[0])
-        if np.any(pts < edges[0] - slack) or np.any(pts > edges[-1] + slack):
+        points = np.asarray(points, dtype=float)
+        pts = np.abs(points)
+        if np.any(pts > edges[-1] + 1e-12 * max(1.0, 2.0 * edges[-1])):
             raise ValueError("evaluation point outside the mesh")
-        cell = np.clip(
-            np.searchsorted(edges, pts, side="left") - 1, 0, self.config.n_cells - 1
-        )
+        cell = np.where(points < 0, np.searchsorted(edges, pts, side="right"),
+                        np.searchsorted(edges, pts, side="left"))
+        cell = np.clip(cell - 1, 0, self.n_cells - 1)
         xl = edges[cell]
         xr = edges[cell + 1]
         z = np.clip((2.0 * pts - xl - xr) / (xr - xl), -1.0, 1.0)
@@ -388,15 +377,15 @@ class TransportSystem:
         scaled = mom * self._sq[:, None] / np.sqrt(widths)
         phi = np.einsum("jp,jp->p", scaled[:, cell], table)
         if self._uncollided:
-            phi = phi + analytic.uncollided_scalar_flux(self.spec, pts, state.t)
+            phi = phi + analytic.uncollided_scalar_flux(self.spec, points, state.t)
         return phi
 
     def phi_integral(self, state: SolutionState) -> float:
-        """integral(phi) dx over the whole slab, a half-domain solve's mirror
-        half included, exact per cell via mean moments."""
+        """integral(phi) dx over the whole slab, the mirror half included,
+        exact per cell via mean moments."""
         _, widths = self.mesh_at(state.t)
         mom0 = self.phi_moments(state)[0]
-        total = (1 + self._reflect_left) * float(np.sum(mom0 * np.sqrt(widths)))
+        total = 2.0 * float(np.sum(mom0 * np.sqrt(widths)))
         if self._uncollided:
             total += float(analytic.uncollided_integral(self.spec, state.t))
         return total

@@ -9,7 +9,8 @@ The radial law scales velocities with the initial position so the outermost
 edge moves at the wave speed (v = 1) and the edge at the origin never moves.
 The hybrid law keeps the middle half of the cells pinned on the source region
 [-x0, x0] while the outer quarters start with zero width at +-x0 and fan out,
-the outermost edge tracking the wavefront.
+the outermost edge tracking the wavefront.  Each law is stated on the
+whole slab; a solve runs on its right half (``dgcore.build_mesh``).
 """
 
 from dataclasses import dataclass
@@ -95,20 +96,6 @@ def radial_mesh(n_cells: int, x0: float) -> Mesh:
         raise ValueError("x0 must be positive")
     edges = _symmetrize(np.linspace(-x0, x0, n_cells + 1))
     return Mesh(edges, edges / x0, "radial")
-
-
-def radial_half_mesh(n_cells: int, x0: float) -> Mesh:
-    """Right half of the radial law, [0, x0], for reflection-symmetric runs.
-
-    The origin edge is pinned at x = 0 with zero velocity; pair with a
-    reflecting boundary there.  Cell widths match a 2*n_cells radial mesh.
-    """
-    if n_cells < 1:
-        raise ValueError("need at least one cell")
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
-    edges = np.linspace(0.0, x0, n_cells + 1)
-    return Mesh(edges, edges / x0, "radial-half")
 
 
 def hybrid_square_mesh(n_cells: int, x0: float) -> Mesh:

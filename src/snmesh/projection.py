@@ -14,20 +14,19 @@ gives, bit for bit, the values of one-time projections.
 
 The panel geometry comes in two steps.  A ``PanelPlan`` holds what depends
 only on the order of the batch's breaks: which kinks lie inside, the sort
-and the ties kept, the break indices at each panel's ends, each panel's
-time and cell, and the mirror order, taken from the cell; integers only.
-``PanelPlan.apply`` computes from the break values what depends on them:
-panel midpoints and half-widths, nodes and node times, the split panels'
-weights and reference coordinates, and the cell of a split panel so narrow
-that its midpoint rounds onto its right edge.  A plan holds for the next
+and the ties kept, the break indices at each panel's ends, and each
+panel's time and cell; integers only.  ``PanelPlan.apply`` computes from
+the break values what depends on them: panel midpoints and half-widths,
+nodes and node times, the split panels' weights and reference coordinates,
+and the cell of a split panel so narrow that its midpoint rounds onto its
+right edge.  A plan holds for the next
 batch of as many times as long as the breaks of each time keep their
 order, rising where they rose and tying where they tied: a fresh sort would
 then give the same plan, so a step attempt that moves no kink past an edge
 reuses the last attempt's plan, and ``apply`` always returns its points.
 
-On a mesh whose edges and edge velocities are exactly antisymmetric, with
-an edge at 0, the panels of the cells left of 0 mirror those right of it
-exactly, so a function even in x needs its values on the nodes x > 0 only.
+The solver's meshes are right halves of the slab, from x = 0, so each kink
+radius s is one break, at x = s.
 """
 
 import numpy as np
@@ -35,35 +34,21 @@ import numpy as np
 from .basis import legendre_rows, legendre_table
 
 
-def mirror_symmetric(mesh):
-    """Whether the mesh's edges and edge velocities are exactly
-    antisymmetric, with an edge at 0: even profiles are then evaluated on
-    the nodes x > 0 alone (mirrored_values)."""
-    e0, vel = mesh.initial_edges, mesh.velocities
-    return bool(e0.size % 2 and np.array_equal(e0, -e0[::-1])
-                and np.array_equal(vel, -vel[::-1]))
-
-
 def breaks(edges, kinks):
     """The breaks of a batch, flat: the (T, K + 1) edge table, then time by
-    time the -s, s of each radius s in the (T, R) kink table (NaN where a
-    radius is absent, R = 0 for a kink-free profile) strictly inside the
-    time's outer edges; and the (T, R, 2) mask of those inside."""
-    signed = np.stack([-kinks, kinks], axis=-1)
-    inside = (edges[:, :1, None] < signed) & (signed < edges[:, -1:, None])
-    return np.concatenate([edges.ravel(), signed[inside]]), inside
+    time each radius of the (T, R) kink table (NaN where a radius is absent,
+    R = 0 for a kink-free profile) strictly inside the time's outer edges;
+    and the (T, R) mask of those inside."""
+    inside = (edges[:, :1] < kinks) & (kinks < edges[:, -1:])
+    return np.concatenate([edges.ravel(), kinks[inside]]), inside
 
 
 class PanelPlan:
     """The panels of a batch's breaks (see ``breaks``) as integers: panels
     join consecutive breaks of one time, sorted by (time, x) with ties kept
-    once, an edge before a kink.  With ``mirror``, on a mirror-symmetric
-    mesh with an edge at 0, the panels of the cells left of that edge come
-    first, the times in reverse, then those of the cells right of it: the
-    node positions are then the exact negative of their reverse (see
-    mirrored_values).  Each bin keeps its nodes in order either way."""
+    once, an edge before a kink."""
 
-    def __init__(self, brk, inside, shape, mirror):
+    def __init__(self, brk, inside, shape):
         n_times, n_edges = self.shape = shape
         self.inside = inside
         owner = np.concatenate([np.repeat(np.arange(n_times), n_edges),
@@ -89,13 +74,6 @@ class PanelPlan:
         # the edges at or below the panel's left break
         below = np.cumsum(is_edge)[left] - self.owner * n_edges
         self.cell = np.clip(below - 1, 0, n_edges - 2) + self.owner * n_edges
-        if mirror:
-            # the edge at 0 is the middle one, n_edges // 2
-            left_of_0 = self.cell - self.owner * n_edges < n_edges // 2
-            side = np.where(left_of_0, n_times - 1 - self.owner, n_times + self.owner)
-            perm = np.argsort(side, kind="stable")
-            for name in ("lo", "hi", "owner", "hi_edge", "whole", "cell"):
-                setattr(self, name, getattr(self, name)[perm])
 
     def fits(self, brk, inside):
         """Whether the breaks of a batch of as many times keep the order
@@ -133,24 +111,15 @@ class PanelPlan:
         return nodes.ravel(), node_t, self.whole, whole_bins, wts.ravel(), bins, z.ravel()
 
 
-def projection_points(plan, edges, kinks, times, rule, mirror):
+def projection_points(plan, edges, kinks, times, rule):
     """Nodes of ``rule`` on the panels of every cell at each time, the cells
     split at the radii of the (T, R) kink table: (plan, (x, node_t, whole,
     whole_bins, wts, bins, z)) as ``PanelPlan.apply`` gives them, through
     ``plan`` if it fits the breaks, else through the new plan returned."""
     brk, inside = breaks(edges, kinks)
     if plan is None or not plan.fits(brk, inside):
-        plan = PanelPlan(brk, inside, edges.shape, mirror)
+        plan = PanelPlan(brk, inside, edges.shape)
     return plan, plan.apply(brk, times, rule)
-
-
-def mirrored_values(f, x, node_t):
-    """f(x, t) at nodes laid out by a mirror plan, for f even in x bit for
-    bit: f runs once, on the upper half of the nodes (those of the cells
-    right of 0), and the lower half takes their values in reverse."""
-    half = x.size // 2
-    upper = f(x[half:], node_t[half:])
-    return np.concatenate([upper[::-1], upper])
 
 
 def moment_table(rule, sq):

@@ -64,7 +64,7 @@ def mms_projection_floor(spec, order, n_cells, n_angles, t_final, grid):
     psi = system.project_function(
         [t_final], lambda x, t: analytic.mms_solution(x, t, spec.x0), np.empty((1, 0)))[0]
     state = SolutionState(
-        np.broadcast_to(psi.T[:, None], (order + 1, n_angles, n_cells)).copy(), t_final)
+        np.broadcast_to(psi.T[:, None], (order + 1, n_angles, system.n_cells)).copy(), t_final)
     exact = analytic.mms_phi(grid, t_final, spec.x0)
     return rmse(system.scalar_flux(state, grid), exact)
 

@@ -166,14 +166,36 @@ class TestFingerprint:
 
         base = config_from_settings(preset_settings(preset))
         grid = analysis_grid(base.spec, base.t_final)
-        # half_domain is wired for the plane pulse only
-        halves = (False, True) if preset == "plane-pulse" else (False,)
-        configs = [replace(base, rtol=rtol, half_domain=half)
-                   for rtol in (5e-13, 1e-8) for half in halves]
+        configs = [replace(base, rtol=rtol) for rtol in (5e-13, 1e-8)]
         keys = [config_fingerprint(c, grid) for c in configs]
         assert len(set(keys)) == len(configs)
         monkeypatch.setattr(analysis, "sha256", hashlib.sha256)
         assert [config_fingerprint(c, grid) for c in configs] == keys
+
+    @pytest.mark.parametrize("kind,unread", [("plane-pulse", dict(x0=0.2)),
+                                             ("gaussian-pulse", dict(x0=0.2, t0=0.7))])
+    def test_fields_the_family_does_not_read_leave_the_key(self, kind, unread):
+        # each is a solve test_a_field_the_family_does_not_read_leaves_the_solve_alone
+        # shows to be the same
+        spec = SourceSpec(kind=kind, x0=0.5, sigma=0.5)
+        grid = analysis_grid(spec, 1.0)
+        key = lambda s: config_fingerprint(RunConfig(spec=s, **self.BASE), grid)
+        for name, value in unread.items():
+            assert key(replace(spec, **{name: value})) == key(spec)
+
+    @pytest.mark.parametrize("kind", analytic.KINDS)
+    def test_every_field_the_family_reads_moves_the_key(self, kind):
+        family = analytic.FAMILIES[kind]
+        spec = SourceSpec(kind=kind, x0=0.5, sigma=0.5, t0=0.5)
+        variant = "standard" if kind == "mms" else "uncollided"
+        base = dict(self.BASE, source_mode=variant)
+        grid = analysis_grid(spec, 1.0)
+        key = lambda s: config_fingerprint(RunConfig(spec=s, **base), grid)
+        others = [dict(amplitude=2.0)] + [{name: 0.25} for name in family.reads]
+        if kind != "mms":
+            others.append(dict(c=0.5))
+        for over in others:
+            assert key(replace(spec, **over)) != key(spec), over
 
 
 # A family's own parameters, and another value for each field it does not read.
@@ -377,7 +399,7 @@ class TestOracleCache:
         # t = 0.5), rebuilt by a fresh process at one BLAS thread into an
         # empty cache, must match the committed file byte for byte: a solver
         # change that moves any bit of a cached result shows up here
-        name = "oracle-f1fea2e29860c065c47c6e2c.csv"
+        name = "oracle-1f0c77530c521ae229ce4bca.csv"
         committed = Path(__file__).resolve().parents[1] / ".snmesh_cache" / name
         code = (
             "import sys\n"

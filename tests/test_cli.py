@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from snmesh import study
+from snmesh import analytic, study
 from snmesh.analysis import GRID_POINTS, OracleGateError, ReferenceSolution, fit_spectral
 from snmesh.cli import _PARAMETERS, build_parser, gather_settings, main, parse_config_file
 from snmesh.presets import preset_names, preset_settings
@@ -461,6 +461,39 @@ def test_static_square_source_study_at_six_cells(tmp_path, monkeypatch):
     _, rows = read_csv(tmp_path / "convergence.csv")
     assert [(r[0], r[2]) for r in rows] == [("standard+static", "1"),
                                             ("standard+static", "2")]
+
+
+def test_odd_cell_count_exits_2(tmp_path, capsys):
+    # the solve runs on the right half of the slab, so K must be even
+    out = tmp_path / "out"
+    rc = main(["solve", "--preset", "square-source", "--K", "5", "--out-dir", str(out)])
+    assert rc == 2
+    assert "cell count must be even" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cells_sweep_skips_odd_counts(tmp_path, monkeypatch):
+    # variant_feasible rules an odd K out, as any infeasible point
+    monkeypatch.setattr(
+        study, "reference_solution",
+        lambda spec, t_final, grid, k, n: ReferenceSolution(
+            np.zeros_like(grid), 1e-14, 1e-14, 0.0, "stub"))
+    rc = main(["converge", "--preset", "gaussian-pulse", "--sweep", "cells",
+               "--values", "3,4", "--N", "4", "--M", "1", "--t", "0.2",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for record in manifest["variants"].values():
+        assert record["skipped_values"] == [3]
+        assert [p["value"] for p in record["points"]] == [4]
+
+
+@pytest.mark.parametrize("name", ["x0", "sigma", "t0"])
+def test_parameter_help_names_the_kinds_that_read_it(name):
+    text = next(row[4] for row in _PARAMETERS if row[0] == name)
+    named = {kind for kind in analytic.KINDS if kind in text}
+    assert named == {kind for kind, family in analytic.FAMILIES.items()
+                     if name in family.reads}
 
 
 @pytest.mark.parametrize("argv", [

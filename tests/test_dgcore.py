@@ -8,8 +8,9 @@ source moments, evaluated for all stage times of a step attempt at once,
 are checked bit for bit against batches of one time, and to a stated
 tolerance against a one-time-at-a-time, node-by-node projection kept here;
 the moment-major RHS is checked against the (N, K, J) assembly it replaced
-to a tolerance relative to each term's magnitude.  The mirrored evaluation
-of even profiles and the per-batch static source are checked the same way.
+to a tolerance relative to each term's magnitude.  The per-batch static
+source is checked the same way.  The state covers the right half-slab; the
+checks that read x < 0 read it through the mirror, as the solver does.
 """
 
 from dataclasses import replace
@@ -17,30 +18,25 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from snmesh import analytic as an, projection
+from snmesh.analysis import analysis_grid
 from snmesh.analytic import PLANE_EPS_X0, PLANE_T_START, T_START_EPS, SourceSpec
 from snmesh.basis import legendre_table
 from snmesh.dgcore import RunConfig, SolutionState, TransportSystem, build_mesh, start_time
 from snmesh.integrate import _C, IntegrationError
-from snmesh.mesh import (edge_table, hybrid_square_mesh, radial_mesh,
-                         static_square_mesh, static_uniform_mesh)
+from snmesh.mesh import edge_table
 from snmesh.presets import config_from_settings, preset_settings
-from snmesh.projection import (breaks, cell_moments, mirror_symmetric,
-                               mirrored_values, moment_table, projection_points)
-from snmesh.quadrature import gauss_legendre
+from snmesh.projection import breaks, cell_moments, projection_points
 
 from cell_matrices import gradient_matrices, motion_matrices
 
 
 def make_config(kind="gaussian-pulse", c=1.0, mesh="static", mode="standard",
-                K=8, M=4, N=8, t_final=1.0, x0=0.5, sigma=0.5, t0=5.0, amplitude=1.0,
-                half_domain=False):
+                K=8, M=4, N=8, t_final=1.0, x0=0.5, sigma=0.5, t0=5.0, amplitude=1.0):
     spec = SourceSpec(kind=kind, c=c, x0=x0, sigma=sigma, t0=t0, amplitude=amplitude)
     return RunConfig(spec=spec, n_angles=N, n_cells=K, order=M,
-                     mesh_mode=mesh, source_mode=mode, t_final=t_final,
-                     half_domain=half_domain)
+                     mesh_mode=mesh, source_mode=mode, t_final=t_final)
 
 
 def mesh_state(system, t):
@@ -51,22 +47,29 @@ def mesh_state(system, t):
 
 
 def eval_direction(system, state, l, pts):
-    """Reconstruct the angular flux of one discrete direction at points."""
+    """Reconstruct the angular flux of one discrete direction at points.  A
+    point x < 0 reads the mirror direction -mu at |x|, in the cell a
+    full-slab solve would read: an edge hit reads the cell on its left."""
     ms = mesh_state(system, state.t)
     pts = np.asarray(pts, dtype=float)
-    cell = np.clip(np.searchsorted(ms.edges, pts, side="left") - 1, 0, ms.n_cells - 1)
+    ax, neg = np.abs(pts), pts < 0
+    cell = np.where(neg, np.searchsorted(ms.edges, ax, side="right"),
+                    np.searchsorted(ms.edges, ax, side="left"))
+    cell = np.clip(cell - 1, 0, ms.n_cells - 1)
+    direction = np.where(neg, system.config.n_angles - 1 - l, l)
     xl = ms.edges[cell]
     xr = ms.edges[cell + 1]
-    z = np.clip((2.0 * pts - xl - xr) / (xr - xl), -1.0, 1.0)
+    z = np.clip((2.0 * ax - xl - xr) / (xr - xl), -1.0, 1.0)
     table = legendre_table(z, system.config.order)
-    scaled = state.coeffs[:, l].T * system._sq[None, :] / np.sqrt(ms.widths)[:, None]
-    return np.einsum("pj,jp->p", scaled[cell], table)
+    scaled = state.coeffs[:, direction, cell] * (system._sq[:, None]
+                                                 / np.sqrt(ms.widths[cell]))
+    return np.einsum("jp,jp->p", scaled, table)
 
 
 def reference_surface(system, u, t, a=lambda v: v):
     """Upwinded surface term (N, K, J), from the mesh state and the edge
-    traces of u alone.  On a half-domain system the inflow at the origin in
-    direction mu is the outgoing trace in direction -mu.  With ``a`` =
+    traces of u alone.  The inflow at the origin in direction mu is the
+    outgoing trace in direction -mu.  With ``a`` =
     np.abs (and u >= 0) every factor enters by its magnitude and both traces
     add: the scale of the term's rounding error."""
     ms = mesh_state(system, t)
@@ -76,10 +79,9 @@ def reference_surface(system, u, t, a=lambda v: v):
     sqrt_h = np.sqrt(ms.widths)
     trace_right = (u @ right) / sqrt_h
     trace_left = (u @ a(left)) / sqrt_h
-    bc_left, bc_right = map(a, system.boundary_values(t))
-    if system.config.half_domain:
-        mirror = [int(np.argmin(np.abs(system.mu + mu))) for mu in system.mu]
-        bc_left = trace_left[mirror, 0]
+    bc_right = a(system.boundary_values(t))
+    mirror = [int(np.argmin(np.abs(system.mu + mu))) for mu in system.mu]
+    bc_left = trace_left[mirror, 0]
     from_left = np.concatenate([bc_left[:, None], trace_right], axis=1)
     from_right = np.concatenate([trace_left, bc_right[:, None]], axis=1)
     rel = system.mu[:, None] - ms.velocities[None, :]
@@ -153,19 +155,23 @@ class TestRhsDualRoute:
                           x0=0.1 if kind == "mms" else 0.5)
         system = TransportSystem(cfg)
         rng = np.random.default_rng(hash(kind) % 2**32)
-        self.check(system, t, rng.standard_normal((N, K, M + 1)))
+        self.check(system, t, rng.standard_normal((N, system.n_cells, M + 1)))
 
-    def test_half_domain_mirror_inflow(self):
-        # plane pulse u+m on the right half: the left inflow is the mirror
-        # trace, so a wrong pairing of directions shows at O(1)
-        cfg = make_config(kind="plane-pulse", c=0.85, mesh="moving", mode="uncollided",
-                          K=4, M=5, N=8, half_domain=True)
+    def test_mirror_inflow(self):
+        # c = 0 decouples the directions, so direction N - 1 (mu = 1) meets
+        # direction 0 (mu = -1) only at the reflecting edge x = 0: a change
+        # to direction 0 in cell 0 moves cell 0 of direction N - 1 at O(1)
+        # and no other direction or cell
+        cfg = make_config(kind="plane-pulse", c=0.0, mesh="moving", mode="uncollided",
+                          K=8, M=5, N=8)
         system = TransportSystem(cfg)
         u = np.random.default_rng(7).standard_normal((8, 4, 6))
         got = self.check(system, 0.9, u)
-        # the case exercises the mirror: with a zero inflow the RHS moves at O(1)
-        system._reflect_left = False
-        assert np.max(np.abs(system.rhs_coeffs(0.9, moment_major(u)) - got)) > 1e-2
+        bumped = u.copy()
+        bumped[0, 0] += 1.0
+        moved = system.rhs_coeffs(0.9, moment_major(bumped)) - got
+        assert np.abs(moved[:, -1, 0]).max() > 1e-2
+        assert not moved[:, 1:-1].any() and not moved[:, -1, 1:].any()
 
 
 class TestFreeStreaming:
@@ -199,47 +205,45 @@ class TestFreeStreaming:
 
 
 class TestPolynomialExactness:
-    """An isotropic flux that is one quadratic in x across the slab lies in
-    the DG space at every time and has continuous traces, so the scheme must
-    carry it exactly, however the edges move: any error in the motion term,
-    the traces at moving edges or the edge law shows up at O(1)."""
+    """An isotropic flux that is one even quadratic in x across the slab lies
+    in the DG space at every time and has continuous traces, its slope zero
+    at the reflecting edge x = 0, so the scheme must carry it exactly,
+    however the edges move: any error in the motion term, the traces at
+    moving edges, the mirror edge or the edge law shows up at O(1)."""
 
     @staticmethod
     def psi(x, t):
-        return 1.0 + t + (0.5 - 0.3 * t) * x + 0.2 * (1.0 + t * t) * x * x
+        return 1.0 + t + 0.2 * (1.0 + t * t) * x * x
 
     @staticmethod
     def psi_t(x, t):
-        return 1.0 - 0.3 * x + 0.4 * t * x * x
+        return 1.0 + 0.4 * t * x * x
 
     @staticmethod
     def psi_x(x, t):
-        return 0.5 - 0.3 * t + 0.4 * (1.0 + t * t) * x
+        return 0.4 * (1.0 + t * t) * x
 
     @pytest.mark.parametrize("mesh", ["static", "moving"])
     def test_quadratic_carried_exactly(self, mesh):
         c = 0.7
         cfg = make_config(kind="gaussian-pulse", c=c, mesh=mesh, mode="standard",
-                          K=5, M=3, N=8, t_final=1.0)
+                          K=6, M=3, N=8, t_final=1.0)
         system = TransportSystem(cfg)
         psi, psi_t, psi_x = self.psi, self.psi_t, self.psi_x
 
         def source(times, table=None):
             # psi_t + mu psi_x + psi - (c / 2) phi with phi = 2 psi
             even = system.project_function(
-                times, lambda x, t: psi_t(x, t) + (1.0 - c) * psi(x, t), smooth(times), False,
-                table)
-            slope = system.project_function(times, psi_x, smooth(times), False, table)
+                times, lambda x, t: psi_t(x, t) + (1.0 - c) * psi(x, t), smooth(times), table)
+            slope = system.project_function(times, psi_x, smooth(times), table)
             return even[:, None] + system.mu[None, :, None, None] * slope[:, None]
 
         def inflow(t):
-            edges = mesh_state(system, t).edges
-            n = cfg.n_angles
-            return np.full(n, psi(edges[0], t)), np.full(n, psi(edges[-1], t))
+            return np.full(cfg.n_angles, psi(mesh_state(system, t).edges[-1], t))
 
         system.source_moments = source
         system.boundary_values = inflow
-        shape = (cfg.order + 1, cfg.n_angles, cfg.n_cells)
+        shape = (cfg.order + 1, cfg.n_angles, system.n_cells)
         start = system.project_function([0.0], psi, smooth([0.0]))[0]
         state = SolutionState(np.broadcast_to(start.T[:, None], shape).copy(), 0.0)
         state, _ = system.advance(state, 1.0)
@@ -250,43 +254,43 @@ class TestPolynomialExactness:
 
 class TestPureAbsorberBoundaryLayer:
     def test_steady_state_matches_attenuation_law(self):
-        # incoming unit flux on the left face, c = 0: the steady angular flux
-        # is exp(-(x + 1) / mu) for mu > 0 and zero for mu < 0
+        # incoming unit flux on both faces of [-1, 1], c = 0: the steady
+        # angular flux is exp(-(x + 1) / mu) for mu > 0 and exp(-(1 - x) /
+        # |mu|) for mu < 0; on the right half, the flux at mu > 0 is the one
+        # reflected at x = 0
         cfg = make_config(kind="square-pulse", c=0.0, mesh="static",
                           mode="standard", K=8, M=6, N=8, t_final=0.5)
         system = TransportSystem(cfg)
         n = cfg.n_angles
-        system.boundary_values = lambda t: (np.ones(n), np.zeros(n))
-        shape = (cfg.order + 1, n, cfg.n_cells)
+        system.boundary_values = lambda t: np.ones(n)
+        shape = (cfg.order + 1, n, system.n_cells)
         state = SolutionState(np.zeros(shape), 0.0)
         state, _ = system.advance(state, 12.0)
         pts = np.linspace(-0.999, 0.999, 25)
         want = np.zeros_like(pts)
-        for mu, w in zip(system.mu, system.weights):
-            if mu > 0:
-                want += w * np.exp(-(pts + 1.0) / mu)
+        for l, (mu, w) in enumerate(zip(system.mu, system.weights)):
+            psi = np.exp(-(1.0 + np.sign(mu) * pts) / abs(mu))
+            want += w * psi
+            np.testing.assert_allclose(eval_direction(system, state, l, pts), psi,
+                                       rtol=0, atol=1e-5)
         got = system.scalar_flux(state, pts)
         np.testing.assert_allclose(got, want, rtol=0, atol=2e-6)
-        # no particles travel leftward
-        leftward = eval_direction(system, state, 0, pts)
-        assert np.max(np.abs(leftward)) < 1e-8
 
 
 class TestSourceMoments:
-    @pytest.mark.parametrize("half_domain", [False, True])
-    def test_plane_moments_carry_the_exact_mass(self, half_domain):
-        # the outer edges sit PLANE_EPS_X0 past the front |x| = t, where
-        # phi_u ends: the kink split keeps that sliver out of the mass, which
-        # a plateau on every cell would raise by 1e-10 / t
+    def test_plane_moments_carry_the_exact_mass(self):
+        # the outer edge sits PLANE_EPS_X0 past the front x = t, where phi_u
+        # ends: the kink split keeps that sliver out of the mass, which a
+        # plateau on every cell would raise by 1e-10 / t
         cfg = make_config(kind="plane-pulse", c=0.9, mesh="moving", mode="uncollided",
-                          K=4 if half_domain else 8, M=4, N=8, x0=0.0,
-                          half_domain=half_domain)
+                          K=8, M=4, N=8, x0=0.0)
         system = TransportSystem(cfg)
         for t in (1e-4, 0.3, 1.0):
             ms = mesh_state(system, t)
             assert ms.edges[-1] - t == pytest.approx(PLANE_EPS_X0, rel=1e-5)
             mom = system.source_moments([t])[0]
-            total = (1 + half_domain) * np.sum(mom[:, 0] * np.sqrt(ms.widths))
+            # the right half's mass, doubled for the mirror half
+            total = 2.0 * np.sum(mom[:, 0] * np.sqrt(ms.widths))
             want = 0.5 * system.spec.c * float(an.uncollided_integral(system.spec, t))
             assert total == pytest.approx(want, rel=1e-13)
 
@@ -297,7 +301,7 @@ class TestSourceMoments:
         t = 0.6
         ms = mesh_state(system, t)
         mom = system.source_moments([t])[0]
-        total = np.sum(mom[:, 0] * np.sqrt(ms.widths))
+        total = 2.0 * np.sum(mom[:, 0] * np.sqrt(ms.widths))
         want = 0.5 * float(an.uncollided_integral(system.spec, t))
         assert total == pytest.approx(want, rel=1e-9)
 
@@ -311,7 +315,7 @@ class TestSourceMoments:
                           K=4, M=5, N=8, x0=0.1)
         system = TransportSystem(cfg)
         src = system.source_moments([0.5])[0]
-        assert src.shape == (8, 4, 6)
+        assert src.shape == (8, 2, 6)  # the 2 cells of the right half
         # linear in mu: the midpoint of opposite directions equals mu = 0
         mid = 0.5 * (src[0] + src[-1])
         inner = 0.5 * (src[3] + src[4])
@@ -329,10 +333,10 @@ def smooth(times):
     return np.empty((np.size(times), 0))
 
 
-def fresh_points(system, times, kinks, mirror=False):
+def fresh_points(system, times, kinks):
     """Panel nodes (x, node_t, wts, bins, z) of the times through a new plan."""
     edges, _ = edge_table(system.mesh, times)
-    return projection_points(None, edges, kinks, times, system._proj_rule, mirror)[1]
+    return projection_points(None, edges, kinks, times, system._proj_rule)[1]
 
 
 def _per_time_points(system, ms, kinks):
@@ -341,7 +345,7 @@ def _per_time_points(system, ms, kinks):
     edges = ms.edges
     rule = system._proj_rule
     lo, hi = edges[0], edges[-1]
-    extra = [r for s in kinks for r in (-s, s) if lo < r < hi]
+    extra = [s for s in kinks if lo < s < hi]
     breaks = np.unique(np.concatenate([edges, np.array(extra)])) if extra else edges
     mid = 0.5 * (breaks[:-1] + breaks[1:])
     half = 0.5 * (breaks[1:] - breaks[:-1])
@@ -457,6 +461,46 @@ class TestBatchedSourceMoments:
         assert_moments_close(system.source_moments([0.7]), per_time_source(system, 0.7)[None],
                              system, [0.7])
 
+    @staticmethod
+    def recorder(monkeypatch, name):
+        """Wrap snmesh.analytic.<name>; returns the list of x it sees."""
+        seen = []
+        real = getattr(an, name)
+
+        def spy(*args):
+            seen.append(np.array(args[1], dtype=float))
+            return real(*args)
+
+        monkeypatch.setattr(an, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("kind,K", [("square-source", 8), ("gaussian-source", 8),
+                                        ("square-source", 6)])
+    def test_static_standard_source_equals_per_time_projection(self, monkeypatch,
+                                                               kind, K):
+        # a static mesh projects its standard source per batch, as a moving
+        # one does; K = 6 falls back to a uniform mesh, so x0 = 0.5 lies
+        # inside a cell
+        cfg = make_config(kind=kind, mode="standard", mesh="static", K=K, M=4, N=4,
+                          x0=0.5, t0=1.0, t_final=2.0)
+        system = TransportSystem(cfg)
+        t0 = system.spec.t0
+        edge = np.array([0.0, np.nextafter(t0, 0.0), t0, np.nextafter(t0, 2.0)])
+        for times in [t + _C[1:] * h for t, h in self.ATTEMPTS] + [edge]:
+            seen = self.recorder(monkeypatch, "volumetric_source")
+            got = system.source_moments(times)
+            monkeypatch.undo()
+            # one evaluation per batch
+            assert len(seen) == 1 and seen[0].min() > 0.0
+            one = batches_of_one(system.source_moments, times)
+            np.testing.assert_array_equal(got, one)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(one))
+            want = np.stack([per_time_source(system, tt) for tt in times])
+            assert_moments_close(got, want, system, times)
+            assert not np.signbit(got[times > t0]).any()
+            assert np.all(got[times > t0] == 0.0)
+            assert all(np.any(row != 0.0) for row in got[times <= t0])
+
     @pytest.mark.parametrize("ulps", [-2, -1, 1, 2])
     def test_kinks_an_ulp_from_an_edge(self, ulps):
         # panels an ulp or two wide: their midpoints may round onto an edge,
@@ -465,7 +509,7 @@ class TestBatchedSourceMoments:
         system = TransportSystem(cfg)
         times = 0.3 + _C[1:] * 0.05
         def kinks(t):
-            edge = mesh_state(system, t).edges[5]
+            edge = mesh_state(system, t).edges[1]
             step = np.inf if ulps > 0 else -np.inf
             for _ in range(abs(ulps)):
                 edge = np.nextafter(edge, step)
@@ -483,7 +527,7 @@ class TestBatchedSourceMoments:
         cfg = make_config(kind="square-source", mode="uncollided", mesh="moving",
                           K=8, M=3, N=4, x0=0.5, t0=1.0)
         system = TransportSystem(cfg)
-        u = np.random.default_rng(3).standard_normal((4, 4, 8))  # (J, N, K)
+        u = np.random.default_rng(3).standard_normal((4, 4, 4))  # (J, N, K // 2)
         times = 0.45 + _C[1:] * 0.1
         cold = [system.rhs_coeffs(tt, u) for tt in times]
         system._prepare_sources(times)
@@ -518,9 +562,8 @@ class TestWholeCellProduct:
     route, which every panel takes once the plan marks none whole, to 1e-14
     of each cell's largest moment."""
 
-    @pytest.mark.parametrize("mirror", [False, True])
     @pytest.mark.parametrize("order", range(11))
-    def test_product_equals_bincount_route(self, order, mirror):
+    def test_product_equals_bincount_route(self, order):
         cfg = make_config(kind="square-source", mode="uncollided", mesh="moving",
                           K=8, M=order, N=4, x0=0.5, t0=1.0)
         system = TransportSystem(cfg)
@@ -528,7 +571,7 @@ class TestWholeCellProduct:
         edges, widths = edge_table(system.mesh, times)
         kinks = an.kink_radii(system.spec, times, True)
         rule = system._proj_rule
-        plan, points = projection_points(None, edges, kinks, times, rule, mirror)
+        plan, points = projection_points(None, edges, kinks, times, rule)
         whole_bins, split_bins = points[3], points[5]
         # the batch mixes whole and split cells, and no cell is both
         assert whole_bins.size and split_bins.size
@@ -573,7 +616,6 @@ class TestPanelPlan:
                                                    prepare(times))
         recorder.solve()
         system, twin = TransportSystem(cfg), TransportSystem(cfg)
-        assert system._mirrored
         reused = rebuilt = 0
         for times in batches:
             before = system._plan
@@ -588,8 +630,7 @@ class TestPanelPlan:
         assert reused > 0 and rebuilt > 0
         assert any((times > 1.0).any() for times in batches)
 
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_reused_plan_gives_the_points_of_a_fresh_one(self, mirror):
+    def test_reused_plan_gives_the_points_of_a_fresh_one(self):
         cfg = make_config(kind="square-source", mode="uncollided", mesh="moving",
                           K=8, M=3, N=4, x0=0.5, t0=1.0)
         system = TransportSystem(cfg)
@@ -599,15 +640,14 @@ class TestPanelPlan:
             edges, _ = edge_table(system.mesh, times)
             kinks = an.kink_radii(system.spec, times, True)
             prior = plan
-            plan, got = projection_points(plan, edges, kinks, times, rule, mirror)
+            plan, got = projection_points(plan, edges, kinks, times, rule)
             reused += plan is prior
-            want = projection_points(None, edges, kinks, times, rule, mirror)[1]
+            want = projection_points(None, edges, kinks, times, rule)[1]
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
         assert 0 < reused < 59
 
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_kink_columns_permuted_or_duplicated_give_the_same_points(self, mirror):
+    def test_kink_columns_permuted_or_duplicated_give_the_same_points(self):
         # the plan alone orders the breaks and keeps each tie once, so the
         # kink table's column order and repeated radii do not matter; t = 2
         # x0 ties |t - x0| with x0, and t > t0 fills every column
@@ -616,34 +656,30 @@ class TestPanelPlan:
         system = TransportSystem(cfg)
         for times in (np.array([0.3, 1.0, 1.2]), 0.95 + _C[1:] * 0.1):
             kinks = an.kink_radii(system.spec, times, True)
-            want = fresh_points(system, times, kinks, mirror)
+            want = fresh_points(system, times, kinks)
             variants = (kinks[:, ::-1], np.roll(kinks, 2, axis=1),
                         np.hstack([kinks, kinks[:, :2]]), np.repeat(kinks, 2, axis=1))
             for other in variants:
-                got = fresh_points(system, times, other, mirror)
+                got = fresh_points(system, times, other)
                 for a, b in zip(got, want):
                     assert a.tobytes() == b.tobytes()
 
-    def test_denormal_kink_keeps_the_plan_and_the_mirror(self):
-        # the panel (-5e-324, 0) has the midpoint -0.0; its cell, left of
-        # the edge at 0, still puts it below 0 in the mirror order, so the
-        # plan holds and mirrored values land on the nodes they belong to
+    def test_denormal_kink_keeps_the_plan(self):
+        # the panel (0, 5e-324) has the midpoint 0.0, on the edge at its
+        # left: it stays in cell 0, and the plan of a kink at 1e-3 holds
         cfg = make_config(kind="gaussian-pulse", mesh="static", K=4, M=2, N=4)
         system = TransportSystem(cfg)
         times = np.array([0.3, 0.4])
         edges, widths = edge_table(system.mesh, times)
         rule = system._proj_rule
-        plan, _ = projection_points(None, edges, np.full((2, 1), 1e-3), times, rule, True)
+        plan, _ = projection_points(None, edges, np.full((2, 1), 1e-3), times, rule)
         tiny = np.full((2, 1), 5e-324)
-        again, got = projection_points(plan, edges, tiny, times, rule, True)
-        want = projection_points(None, edges, tiny, times, rule, True)[1]
+        again, got = projection_points(plan, edges, tiny, times, rule)
+        want = projection_points(None, edges, tiny, times, rule)[1]
         assert again is plan
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
-        f = lambda x, t: np.exp(-x * x) * (1.0 + t)
-        mirrored = system.project_function(times, f, tiny, True)
-        plain = system.project_function(times, f, tiny)
-        assert mirrored.tobytes() == plain.tobytes()
+        assert (got[5] % system.n_cells == 0).all()
 
     def test_a_kink_moving_to_another_column_rebuilds(self):
         # as many breaks, but the inside mask differs: the plan does not fit
@@ -654,16 +690,15 @@ class TestPanelPlan:
         rule = system._proj_rule
         first = np.array([[0.1, np.nan], [0.1, np.nan]])
         moved = np.array([[0.1, np.nan], [np.nan, 0.1]])
-        plan, _ = projection_points(None, edges, first, times, rule, True)
+        plan, _ = projection_points(None, edges, first, times, rule)
         brk, inside = breaks(edges, moved)
         assert brk.size == plan.size and not plan.fits(brk, inside)
-        again, got = projection_points(plan, edges, moved, times, rule, True)
+        again, got = projection_points(plan, edges, moved, times, rule)
         assert again is not plan
-        for a, b in zip(got, projection_points(None, edges, moved, times, rule, True)[1]):
+        for a, b in zip(got, projection_points(None, edges, moved, times, rule)[1]):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("mirror", [False, True])
-    def test_empty_and_all_nan_kink_tables_give_the_same_points(self, mirror):
+    def test_empty_and_all_nan_kink_tables_give_the_same_points(self):
         # a kink-free profile's (T, 0) table and a (T, 2) table of absent
         # radii split no cell: the same points bit for bit, from a fresh
         # plan and through a reused one
@@ -673,14 +708,13 @@ class TestPanelPlan:
         for t in (0.3, 0.6):
             times = t + _C[1:] * 0.05
             edges, _ = edge_table(system.mesh, times)
-            want = projection_points(None, edges, smooth(times), times, rule, mirror)[1]
+            want = projection_points(None, edges, smooth(times), times, rule)[1]
             for name, table in (("empty", smooth(times)),
                                 ("nan", np.full((times.size, 2), np.nan))):
                 _, inside = breaks(edges, table)
-                assert inside.shape == table.shape + (2,) and not inside.any()
+                assert inside.shape == table.shape and not inside.any()
                 prior = plans.get(name)
-                plans[name], got = projection_points(prior, edges, table, times, rule,
-                                                     mirror)
+                plans[name], got = projection_points(prior, edges, table, times, rule)
                 assert prior is None or plans[name] is prior
                 for a, b in zip(got, want):
                     assert a.tobytes() == b.tobytes()
@@ -742,9 +776,7 @@ def parent_rhs(system, t, u):
 
     trace_right = (u @ sq) * inv_sqrt_h[None, :]
     trace_left = (u @ alt) * inv_sqrt_h[None, :]
-    bc_left, bc_right = system.boundary_values(t)
-    if system.config.half_domain:
-        bc_left = trace_left[::-1, 0]
+    bc_left, bc_right = trace_left[::-1, 0], system.boundary_values(t)
     from_left = np.concatenate([bc_left[:, None], trace_right], axis=1)
     from_right = np.concatenate([trace_left, bc_right[:, None]], axis=1)
     flux = rel * np.where(rel > 0.0, from_left, from_right)
@@ -773,7 +805,7 @@ class TestMomentMajorRhs:
 
     def check(self, system, seed=0):
         cfg = system.config
-        shape = (cfg.order + 1, cfg.n_angles, cfg.n_cells)
+        shape = (cfg.order + 1, cfg.n_angles, system.n_cells)
         u = np.random.default_rng(seed).standard_normal(shape)
         nkj = u.transpose(1, 2, 0)
         t, h = self.ATTEMPT
@@ -800,18 +832,13 @@ class TestMomentMajorRhs:
                           mesh=mesh, K=8, M=order, N=6, x0=0.5, t0=1.0, t_final=2.0)
         self.check(TransportSystem(cfg), seed=order)
 
-    def test_half_domain_mirror(self):
-        cfg = make_config(kind="plane-pulse", c=0.85, mesh="moving", mode="uncollided",
-                          K=4, M=5, N=8, half_domain=True)
-        self.check(TransportSystem(cfg))
-
     @pytest.mark.parametrize("mesh", ["static", "moving"])
     def test_boundary_override(self, mesh):
         cfg = make_config(kind="gaussian-pulse", c=0.7, mesh=mesh, K=6, M=4, N=8)
         system = TransportSystem(cfg)
         rng = np.random.default_rng(5)
-        left, right = rng.standard_normal(8), rng.standard_normal(8)
-        system.boundary_values = lambda t: (left * (1.0 + t), right * t)
+        right = rng.standard_normal(8)
+        system.boundary_values = lambda t: right * t
         self.check(system)
 
     def test_no_attempt_cache_outlives_a_failed_advance(self):
@@ -821,7 +848,7 @@ class TestMomentMajorRhs:
                           K=8, M=2, N=4, x0=0.5, t0=1.0)
         system = TransportSystem(cfg)
         nan = np.full(4, np.nan)
-        system.boundary_values = lambda t: (nan, nan)
+        system.boundary_values = lambda t: nan
         calls = []
         prepare = system._prepare_sources
         system._prepare_sources = lambda times: (calls.append(times), prepare(times))
@@ -830,225 +857,82 @@ class TestMomentMajorRhs:
         assert calls and system._prepared == {}
 
 
-MIRROR_LAWS = {
-    "static": lambda K, x0: static_uniform_mesh(K, 1.0 + x0),
-    "static-square": lambda K, x0: static_square_mesh(K, x0, 1.0 + x0),
-    "radial": radial_mesh,
-    "hybrid": hybrid_square_mesh,
-}
-# radii where rounding is at its edge: zero, denormals, the smallest
-# normal; NaN marks an absent kink
-ODD_RADII = [0.0, 5e-324, 1e-323, 1e-320, 2.2250738585072014e-308, np.nan]
-
-
-@st.composite
-def mirror_cases(draw):
-    """A mirror-symmetric mesh at even K, a batch of times and a (T, R) kink
-    table whose radii may be denormal, NaN, or tie with (or sit an ulp
-    inside) an edge of their time."""
-    law = draw(st.sampled_from(sorted(MIRROR_LAWS)))
-    K = draw(st.sampled_from([4, 8, 12]) if law == "hybrid"
-             else st.integers(1, 6).map(lambda n: 2 * n))
-    mesh = MIRROR_LAWS[law](K, draw(st.floats(0.05, 1.0)))
-    # hybrid cells start at zero width; the solver starts them at 1e-10
-    times = np.array(draw(st.lists(st.floats(1e-10, 2.0), min_size=1, max_size=3)))
-    edges, widths = edge_table(mesh, times)
-    radius = st.one_of(
-        st.sampled_from(ODD_RADII), st.floats(0.0, 3.0),
-        st.tuples(st.sampled_from(["edge", "ulp"]), st.integers(0, K)))
-    cols = draw(st.integers(1, 4))
-    kinks = np.empty((times.size, cols))
-    for i in range(times.size):
-        for j in range(cols):
-            r = draw(radius)
-            if isinstance(r, tuple):
-                tie = abs(edges[i, r[1]])
-                r = np.nextafter(tie, 0.0) if r[0] == "ulp" else tie
-            kinks[i, j] = r
-    return mesh, times, edges, widths, kinks
-
-
-class TestMirroredSources:
-    """Even profiles on a mirror-symmetric mesh run on the nodes x > 0 and
-    are mirrored onto the rest, on a static mesh as on a moving one; both
-    give the bits of the full evaluation and of batches of one time, and
-    meet the per-time node-by-node projection to MOMENT_RTOL."""
+class TestRightHalf:
+    """The solve runs on the right half of each mesh law: its projections
+    see the nodes x >= 0 alone, its edges are the law's right half, and a
+    point x < 0 reads the cell a full-slab solve reads at x."""
 
     ATTEMPTS = [(0.45, 0.1), (0.95, 0.1), (1.45, 0.1)]
 
-    @staticmethod
-    def recorder(monkeypatch, name):
-        """Wrap snmesh.analytic.<name>; returns the list of x it sees."""
+    @pytest.mark.parametrize("kind,mode,mesh", _feasible_variants())
+    def test_every_projection_sees_only_x_at_or_above_0(self, kind, mode, mesh):
+        cfg = make_config(kind=kind, c=0.8 if kind != "mms" else 1.0, mode=mode,
+                          mesh=mesh, K=8, M=4, N=4, x0=0.5, t0=1.0, t_final=2.0)
+        system = TransportSystem(cfg)
         seen = []
-        real = getattr(an, name)
+        project = system.project_function
 
-        def spy(*args):
-            x = args[0] if name == "mms_source" else args[1]
-            seen.append(np.array(x, dtype=float))
-            return real(*args)
+        def spy(times, f, *rest):
+            return project(times, lambda x, t: (seen.append(x.copy()), f(x, t))[1], *rest)
 
-        monkeypatch.setattr(an, name, spy)
-        return seen
+        system.project_function = spy
+        system.project_initial_condition()
+        for t, h in self.ATTEMPTS:
+            system.source_moments(t + _C[1:] * h)
+        assert seen and all(x.min() >= 0.0 for x in seen)
 
-    @pytest.mark.parametrize("kind,mode,mesh", [
-        ("square-source", "uncollided", "moving"),
-        ("square-source", "uncollided", "static"),
-        ("square-source", "standard", "moving"),
-        ("gaussian-pulse", "uncollided", "moving"),
-        ("square-pulse", "uncollided", "static"),
-        ("plane-pulse", "uncollided", "static"),
-        ("gaussian-source", "standard", "moving"),
-        ("gaussian-source", "uncollided", "moving"),
-    ])
-    def test_even_profiles_see_only_the_upper_nodes(self, monkeypatch, kind, mode, mesh):
-        cfg = make_config(kind=kind, c=0.8, mode=mode, mesh=mesh, K=8, M=4, N=4,
-                          x0=0.5, t0=1.0, t_final=2.0)
-        system = TransportSystem(cfg)
-        assert system._mirrored
-        name = "uncollided_scalar_flux" if mode == "uncollided" else "volumetric_source"
-        seen = self.recorder(monkeypatch, name)
-        times = 0.45 + _C[1:] * 0.1
-        system.source_moments(times)
-        assert len(seen) == 1 and seen[0].min() > 0.0
-        kinks = an.kink_radii(system.spec, times, mode == "uncollided")
-        full = fresh_points(system, times, kinks)[0]
-        # K = 8 puts an edge at 0, so exactly half the nodes are used
-        assert seen[0].size == full.size // 2
-
-    def test_mms_slope_sees_every_node(self, monkeypatch):
-        times = 0.45 + _C[1:] * 0.1
-        cfg = make_config(kind="mms", mode="standard", mesh="moving", K=4, M=3, N=4, x0=0.1)
-        system = TransportSystem(cfg)
-        seen = self.recorder(monkeypatch, "mms_source")
-        system.source_moments(times)
-        full = fresh_points(system, times, smooth(times))[0]
-        # the even part once on the upper half, the odd slope on every node
-        sizes = sorted(x.size for x in seen)
-        assert sizes[0] == full.size // 2 and sizes[-1] == full.size
-        assert min(x.min() for x in seen if x.size == full.size) < 0.0
-
-    def test_half_domain_mesh_evaluates_every_node(self):
-        cfg = make_config(kind="plane-pulse", c=0.85, mesh="moving", mode="uncollided",
-                          K=4, M=5, N=8, half_domain=True)
-        system = TransportSystem(cfg)
-        assert not system._mirrored
-        sizes = []
-        f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
-        times = 0.3 + _C[1:] * 0.05
-        got = system.project_function(times, f, smooth(times), True)
-        full = fresh_points(system, times, smooth(times))[0]
-        assert sizes == [full.size]
-        np.testing.assert_array_equal(got, system.project_function(times, f, smooth(times)))
-
-    @pytest.mark.parametrize("K", [4, 8])
-    @pytest.mark.parametrize("order", [3, 4])
-    @pytest.mark.parametrize("mesh", ["static", "moving"])
-    def test_mirrored_equals_full_evaluation(self, K, order, mesh):
-        # kinks split cells unevenly, one of them an ulp off an edge
-        cfg = make_config(kind="gaussian-pulse", mesh=mesh, K=K, M=order, N=4)
-        system = TransportSystem(cfg)
-        assert system._mirrored
-        calls = []
-
-        def f(x, t):
-            calls.append(x.size)
-            return np.exp(-x * x) * (1.0 + t) + np.abs(x) * t
-
-        def kinks(t):
-            edge = mesh_state(system, t).edges[K // 2 + 1]
-            return (0.05 + 0.1 * t, 0.9, np.nextafter(edge, 0.0))
-
-        times = 0.3 + _C[1:] * 0.05
-        table = np.array([kinks(tt) for tt in times])
-        got = system.project_function(times, f, table, True)
-        assert len(calls) == 1
-        assert got.tobytes() == system.project_function(times, f, table).tobytes()
-        one = batches_of_one(lambda t: system.project_function(
-            t, f, np.array([kinks(t[0])]), True), times)
-        assert got.tobytes() == one.tobytes()
-        want = np.stack([_per_time_project(system, mesh_state(system, tt),
-                                           lambda x: f(x, tt), kinks(tt)) for tt in times])
-        assert_moments_close(got, want, system, times)
-
-    @pytest.mark.parametrize("kind,mesh", [("gaussian-pulse", "moving"),
+    @pytest.mark.parametrize("kind,mesh", [("gaussian-pulse", "static"),
+                                           ("gaussian-pulse", "moving"),
+                                           ("square-source", "static"),
                                            ("square-source", "moving"),
-                                           ("square-source", "static")])
-    def test_mirror_layout(self, kind, mesh):
-        # the mirror layout is the exact negative of its reverse, and moves
-        # no bit of any projection, even or not
-        cfg = make_config(kind=kind, mode="uncollided", mesh=mesh, K=8, M=4, N=4,
-                          x0=0.5, t0=1.0)
+                                           ("plane-pulse", "moving"), ("mms", "moving")])
+    @pytest.mark.parametrize("K", [4, 8, 16])
+    def test_mesh_is_the_right_half_of_the_law(self, kind, mesh, K):
+        cfg = make_config(kind=kind, mesh=mesh, mode="standard" if kind == "mms"
+                          else "uncollided", K=K, x0=0.1 if kind == "mms" else 0.5)
+        family = cfg.spec.family
+        law = (family.moving if mesh == "moving" else family.static)(cfg)
+        half = build_mesh(cfg)
+        assert half.initial_edges[0] == 0.0 and half.velocities[0] == 0.0
+        assert half.initial_edges.tobytes() == law.initial_edges[K // 2:].tobytes()
+        assert half.velocities.tobytes() == law.velocities[K // 2:].tobytes()
+        assert TransportSystem(cfg).n_cells == K // 2
+
+    def test_edge_hits_read_the_cell_a_full_slab_reads(self):
+        # the K16 square-source static mesh at t = 1 has edges on grid points
+        # at 0.375, 0.75 and 1.5; a full-slab solve reads the cell left of
+        # x = -0.75, the mirror of the cell right of 0.75, and the DG flux
+        # jumps there by far more than any rounding
+        cfg = make_config(kind="square-source", mesh="static", mode="standard",
+                          K=16, M=1, N=8, x0=0.5, t0=5.0)
         system = TransportSystem(cfg)
-        times = 0.45 + _C[1:] * 0.1
-        kinks = an.kink_radii(system.spec, times, True)
-        widths = edge_table(system.mesh, times)[1]
-        x, node_t, *rest = fresh_points(system, times, kinks, True)
-        np.testing.assert_array_equal(x[::-1], -x)
-        np.testing.assert_array_equal(node_t[::-1], node_t)
-        assert x[x.size // 2:].min() > 0.0
-        plain = fresh_points(system, times, kinks)
-        assert sorted(zip(x, node_t)) == sorted(zip(plain[0], plain[1]))
-        odd = lambda x, t: np.exp(x) * (1.0 + t)
-        args = widths, system._sq, system._moment_table
-        assert (cell_moments(odd(x, node_t), *rest, *args).tobytes()
-                == cell_moments(odd(plain[0], plain[1]), *plain[2:], *args).tobytes())
+        state = system.solve().state
+        edges, widths = system.mesh_at(state.t)
+        grid = analysis_grid(cfg.spec, cfg.t_final)
+        assert np.isin([0.375, 0.75, 1.5], grid).all() and np.isin([0.375, 0.75], edges).all()
+        mom = system.phi_moments(state)
+        for x in (0.375, 0.75):
+            i = int(np.flatnonzero(edges == x)[0])
+            # the left trace of cell i and the right trace of cell i - 1
+            inner = mom[:, i - 1] @ system._sq / np.sqrt(widths[i - 1])
+            outer = mom[:, i] @ system._alt / np.sqrt(widths[i])
+            assert abs(outer - inner) > 1e-4
+            phi = system.scalar_flux(state, np.array([x, -x]))
+            np.testing.assert_allclose(phi, [inner, outer], rtol=1e-13, atol=0)
+        # off the edges, -x and x read the same cell and give the same bits
+        off = grid[~np.isin(np.abs(grid), edges)]
+        np.testing.assert_array_equal(system.scalar_flux(state, -off),
+                                      system.scalar_flux(state, off))
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(mirror_cases(), st.sampled_from([1, 3, 8]))
-    def test_mirrored_equals_plain_on_every_mirror_mesh(self, case, n_nodes):
-        mesh, times, edges, widths, kinks = case
-        assert mirror_symmetric(mesh)
-        rule, sq = gauss_legendre(n_nodes), np.sqrt(2.0 * np.arange(4) + 1.0)
-        table = moment_table(rule, sq)
-        f = lambda x, t: np.exp(-x * x) * (1.0 + t) + np.abs(x) * t
-        x, node_t, *rest = projection_points(None, edges, kinks, times, rule, True)[1]
-        np.testing.assert_array_equal(x[::-1], -x)
-        plain = projection_points(None, edges, kinks, times, rule, False)[1]
-        want = cell_moments(f(plain[0], plain[1]), *plain[2:], widths, sq, table)
-        got = cell_moments(mirrored_values(f, x, node_t), *rest, widths, sq, table)
-        assert got.tobytes() == want.tobytes()
-
-    def test_odd_cell_counts_evaluate_every_node(self):
-        # no edge at 0: the middle cell straddles it, and f sees every node
-        cfg = make_config(kind="gaussian-pulse", mode="uncollided", mesh="moving",
-                          K=7, M=4, N=4)
-        system = TransportSystem(cfg)
-        assert not system._mirrored
-        sizes = []
-        f = lambda x, t: (sizes.append(x.size), np.exp(-x * x) * t)[1]
-        times = 0.3 + _C[1:] * 0.05
-        system.project_function(times, f, smooth(times), True)
-        full = fresh_points(system, times, smooth(times))[0]
-        assert sizes == [full.size]
-
-    @pytest.mark.parametrize("kind,K", [("square-source", 8), ("gaussian-source", 8),
-                                        ("square-source", 6)])
-    def test_static_standard_source_equals_per_time_projection(self, monkeypatch,
-                                                               kind, K):
-        # a static mesh projects its standard source per batch, as a moving
-        # one does; K = 6 falls back to a uniform mesh, so x0 = 0.5 lies
-        # inside a cell
-        cfg = make_config(kind=kind, mode="standard", mesh="static", K=K, M=4, N=4,
-                          x0=0.5, t0=1.0, t_final=2.0)
-        system = TransportSystem(cfg)
-        assert system._mirrored
-        t0 = system.spec.t0
-        edge = np.array([0.0, np.nextafter(t0, 0.0), t0, np.nextafter(t0, 2.0)])
-        for times in [t + _C[1:] * h for t, h in self.ATTEMPTS] + [edge]:
-            seen = self.recorder(monkeypatch, "volumetric_source")
-            got = system.source_moments(times)
-            monkeypatch.undo()
-            # one evaluation per batch, on the nodes x > 0
-            assert len(seen) == 1 and seen[0].min() > 0.0
-            one = batches_of_one(system.source_moments, times)
-            np.testing.assert_array_equal(got, one)
-            np.testing.assert_array_equal(np.signbit(got), np.signbit(one))
-            want = np.stack([per_time_source(system, tt) for tt in times])
-            assert_moments_close(got, want, system, times)
-            assert not np.signbit(got[times > t0]).any()
-            assert np.all(got[times > t0] == 0.0)
-            assert all(np.any(row != 0.0) for row in got[times <= t0])
-
+    def test_odd_cell_counts_are_refused(self):
+        for kind, mesh in (("gaussian-pulse", "static"), ("gaussian-pulse", "moving"),
+                           ("plane-pulse", "moving")):
+            mode = "uncollided" if kind == "plane-pulse" else "standard"
+            for K in (1, 3, 5, 7):
+                with pytest.raises(ValueError, match="cell count must be even"):
+                    make_config(kind=kind, mesh=mesh, mode=mode, K=K)
+        with pytest.raises(ValueError, match="cell count must be even"):
+            make_config(K=0)
 
 class TestManufacturedResidual:
     def residual(self, order):
@@ -1061,7 +945,7 @@ class TestManufacturedResidual:
         def coeffs_at(tt):
             c = system.project_function([tt], lambda x, t: an.mms_solution(x, t, x0),
                                         smooth([tt]))
-            return np.broadcast_to(c[0].T[:, None], (order + 1, 8, 4)).copy()
+            return np.broadcast_to(c[0].T[:, None], (order + 1, 8, system.n_cells)).copy()
 
         eps = 1e-6
         dudt = (coeffs_at(t + eps) - coeffs_at(t - eps)) / (2.0 * eps)
@@ -1174,7 +1058,7 @@ class TestSolveDriver:
                           K=4, M=3, N=4, t_final=1.0)
         res = TransportSystem(cfg).solve()
         assert res.state.t == 1.0
-        assert res.state.coeffs.shape == (4, 4, 4)
+        assert res.state.coeffs.shape == (4, 4, 2)  # the right half's 2 cells
         assert res.stats.steps_accepted > 0
         assert res.wall_seconds > 0.0
 
@@ -1240,43 +1124,6 @@ class TestGeometryChoices:
         assert m.initial_edges[-1] == pytest.approx(1.5)
         m = build_mesh(make_config(kind="gaussian-pulse", mesh="moving"))
         assert m.initial_edges[-1] == pytest.approx(0.5 * np.sqrt(-np.log(1e-16)))
-
-
-class TestHalfDomainReflection:
-    """The plane problem is even in (x, mu): solving the right half with a
-    mirror boundary at the origin must reproduce the full solve exactly up
-    to stepper roundoff, and report the whole slab as the full solve does."""
-
-    def test_half_solve_matches_full_solve(self):
-        spec = SourceSpec(kind="plane-pulse", c=1.0, x0=0.5)
-        common = dict(spec=spec, n_angles=32, order=3, mesh_mode="moving",
-                      source_mode="uncollided", t_final=0.25)
-        full = TransportSystem(RunConfig(n_cells=8, **common))
-        half = TransportSystem(RunConfig(n_cells=4, half_domain=True, **common))
-        res_f = full.solve()
-        res_h = half.solve()
-        pts = np.linspace(-0.2, 0.2, 41)
-        phi_f = full.scalar_flux(res_f.state, pts)
-        phi_h = half.scalar_flux(res_h.state, pts)
-        np.testing.assert_allclose(phi_h, phi_f, atol=5e-10, rtol=0)
-        # the half solve reads a point at |x|, so -x gives the same bits
-        np.testing.assert_array_equal(half.scalar_flux(res_h.state, -pts), phi_h)
-        # the full solve stays symmetric, pinning the mirror construction
-        np.testing.assert_allclose(phi_f, phi_f[::-1], atol=1e-11, rtol=0)
-        # the half solve counts its mirror half's collided mass too
-        assert half.phi_integral(res_h.state) == pytest.approx(
-            full.phi_integral(res_f.state), rel=1e-9)
-
-    def test_half_domain_restricted_to_plane_moving_uncollided(self):
-        for kwargs in (
-            dict(kind="gaussian-pulse", mesh="moving", mode="uncollided"),
-            dict(kind="plane-pulse", mesh="static", mode="uncollided"),
-        ):
-            with pytest.raises(ValueError):
-                cfg = make_config(**kwargs)
-                RunConfig(spec=cfg.spec, n_angles=8, order=2, n_cells=4,
-                          mesh_mode=cfg.mesh_mode, source_mode=cfg.source_mode,
-                          t_final=0.5, half_domain=True)
 
 
 class TestObservables:

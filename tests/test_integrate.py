@@ -384,6 +384,7 @@ def test_solver_passes_the_state_second(monkeypatch):
     system.solve()
     assert seen
     for args, kwargs in seen:
-        assert isinstance(args[1], np.ndarray) and args[1].size == 4 * 4 * 3
+        # (order + 1) moments, 4 directions and the 2 cells of the right half
+        assert isinstance(args[1], np.ndarray) and args[1].size == 3 * 4 * 2
         assert args[2] < args[3]
         assert kwargs["prepare"] == system._prepare_sources
