@@ -54,10 +54,10 @@ class SourceSpec:
         for name in self.family.reads:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{self.kind} needs {name} > 0")
-        if self.kind == "plane-pulse" and self.x0 < 0:
-            raise ValueError("plane-pulse x0 must be >= 0")
-        if self.kind == "mms" and self.c != 1.0:
+        if self.family.drive is not None and self.c != 1.0:
             raise ValueError("the manufactured problem is defined for c = 1")
+        if self.family.drive is not None and self.amplitude != 1.0:
+            raise ValueError("the manufactured problem is defined for amplitude 1")
 
     @property
     def family(self) -> "Family":
@@ -256,7 +256,9 @@ class Family:
     emitted: Optional[Callable] = None  # spec -> a pulse's particles, or a source's rate
     profile: Optional[Callable] = None  # (spec, x, peak) -> shape; None: a delta
     fronts: Optional[Callable] = None  # (spec, (T, 1) t) -> (T, R) kink columns of phi_u
-    kinks: Optional[Callable] = None  # the same, of profile
+    # (x, mu, t, *reads) -> a manufactured angular source, linear in mu; its
+    # solution is isotropic, so psi = exact / 2 is its start and inflow
+    drive: Optional[Callable] = None
     static: Optional[Callable] = None  # config -> the static mesh law
     start: Callable = lambda config: 0.0  # config -> the deferred start time
     gate: Optional[float] = None  # abort limit on the oracle's self-convergence
@@ -281,7 +283,6 @@ _SQUARE_PULSE = Family(
     emitted=lambda spec: 2.0 * spec.x0,
     profile=lambda spec, x, peak: np.where(np.abs(x) <= spec.x0, peak, 0.0),
     fronts=lambda spec, t: np.hstack([np.abs(t - spec.x0), t + spec.x0]),
-    kinks=lambda spec, t: np.full(t.shape, spec.x0),
     moving=lambda cfg: hybrid_square_mesh(cfg.n_cells, cfg.spec.x0),
     static=lambda cfg: static_square_mesh(cfg.n_cells, cfg.spec.x0,
                                           cfg.t_final + cfg.spec.x0),
@@ -332,6 +333,7 @@ FAMILIES = {
         moving=lambda cfg: radial_mesh(cfg.n_cells, cfg.spec.x0),
         pad=lambda spec: spec.x0,
         exact=mms_phi,
+        drive=mms_source,
         refuses={"uncollided+static": _MMS_UNCOLLIDED, "uncollided+moving": _MMS_UNCOLLIDED,
                  "standard+static": (
                      "the manufactured problem imposes its wavefront boundary condition "
@@ -366,15 +368,15 @@ def initial_psi(spec: SourceSpec, x, plane_half_width=None):
     """Angle-independent initial angular flux for standard-mode solves.
 
     The plane pulse's delta initial condition has no pointwise profile, so
-    the caller must regularize it: `plane_half_width` names the half-width
-    of the mass-one box standing in for the delta.  The solver passes the
-    width of the cells meeting at the origin, so refinement sharpens the
-    box toward the point pulse instead of stalling at a fixed smearing.
+    the caller must regularize it: `plane_half_width`, read only by a family
+    with no profile, is the half-width of the mass-one box standing in for
+    the delta.  The solver passes the width of the cells meeting at the
+    origin, so refinement sharpens the box toward the point pulse.
     """
     x = np.asarray(x, dtype=float)
-    if spec.kind == "mms":  # the manufactured problem starts on its solution
-        return mms_solution(x, 0.0, spec.x0)
     family = spec.family
+    if family.drive is not None:  # a manufactured problem starts on its solution
+        return 0.5 * family.exact(x, 0.0, *spec.params)
     if family.source:
         return np.zeros_like(x)
     if family.profile is None:
@@ -396,15 +398,16 @@ def volumetric_source(spec: SourceSpec, x, t):
 
 def kink_radii(spec: SourceSpec, t, uncollided: bool):
     """(T, R) table of the |x| where the driving source loses smoothness at
-    each of the times t >= 0 (1-d): one column per front, NaN where the
-    front is absent.  The columns are neither sorted nor distinct: the
-    projection's panel plan orders the breaks and keeps each tie once.
+    each of the times t >= 0 (1-d): phi_u's fronts at t, or in standard mode
+    at t = 0, where they start on the profile's kinks.  One column per front,
+    NaN where it is absent, neither sorted nor distinct: the projection's
+    panel plan orders the breaks and keeps each tie once.
 
     Projection quadrature splits cells there so each piece is smooth.
     """
     t = np.asarray(t, dtype=float)[:, None]
-    rule = spec.family.fronts if uncollided else spec.family.kinks
-    return np.empty((t.size, 0)) if rule is None else rule(spec, t)
+    rule = spec.family.fronts
+    return np.empty((t.size, 0)) if rule is None else rule(spec, t if uncollided else 0 * t)
 
 
 # ---------------------------------------------------------------------------

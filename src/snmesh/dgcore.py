@@ -73,7 +73,7 @@ class RunConfig:
             raise ValueError(reason)
         # the mesh laws state the cell-count rules
         build_mesh(self)
-        start = start_time(self)
+        start = self.spec.family.start(self)
         if self.t_final < start:
             raise ValueError(
                 f"t_final {self.t_final:g} is before this {self.spec.kind} "
@@ -95,12 +95,6 @@ def build_mesh(config: RunConfig) -> Mesh:
     full = (family.moving if config.mesh_mode == "moving" else family.static)(config)
     half = config.n_cells // 2
     return Mesh(full.initial_edges[half:], full.velocities[half:], full.law)
-
-
-def start_time(config: RunConfig) -> float:
-    """Most problems start at t = 0; runs whose mesh or source is singular
-    there are deferred to a small positive epsilon."""
-    return config.spec.family.start(config)
 
 
 @dataclass
@@ -126,7 +120,7 @@ class TransportSystem:
         self.spec = config.spec
         self.mesh = build_mesh(config)
         self.n_cells = config.n_cells // 2  # the cells of the right half
-        self.t_start = start_time(config)
+        self.t_start = config.spec.family.start(config)
         rule = gauss_lobatto(config.n_angles)
         self.mu = rule.nodes
         self.weights = rule.weights
@@ -166,12 +160,14 @@ class TransportSystem:
         return edge_table(self.mesh, t)
 
     def boundary_values(self, t: float):
-        """Inflow angular-flux trace just outside the outer edge."""
+        """Inflow angular-flux trace just outside the outer edge: none, or a
+        manufactured problem's isotropic solution, half its exact flux."""
         n = self.config.n_angles
-        if self.spec.kind == "mms":
-            edge = self.mesh.initial_edges[-1] + self.mesh.velocities[-1] * t
-            return np.full(n, float(analytic.mms_solution(edge, t, self.spec.x0)))
-        return np.zeros(n)
+        family = self.spec.family
+        if family.drive is None:
+            return np.zeros(n)
+        edge = self.mesh.initial_edges[-1] + self.mesh.velocities[-1] * t
+        return np.full(n, 0.5 * float(family.exact(edge, t, *self.spec.params)))
 
     # -- projections -------------------------------------------------------
 
@@ -196,8 +192,8 @@ class TransportSystem:
             phi_u = lambda x, t: analytic.uncollided_scalar_flux(spec, x, t)
             return 0.5 * spec.c * self.project_function(
                 times, phi_u, analytic.kink_radii(spec, times, True), table)
-        if spec.kind == "mms":
-            src = lambda mu, x, t: analytic.mms_source(x, mu, t, spec.x0)
+        if spec.family.drive is not None:
+            src = lambda mu, x, t: spec.family.drive(x, mu, t, *spec.params)
             kinks = analytic.kink_radii(spec, times, False)
             even = self.project_function(times, lambda x, t: src(0.0, x, t), kinks, table)
             slope = self.project_function(
@@ -244,15 +240,12 @@ class TransportSystem:
         if self._uncollided:
             return SolutionState(np.zeros(shape), self.t_start)
         kinks = analytic.kink_radii(self.spec, [self.t_start], uncollided=False)
-        plane_w = None
-        if self.spec.kind == "plane-pulse":
-            # The delta initial condition becomes a box as wide as the cells
-            # meeting at the origin: exactly representable, and halved with
-            # the cells, so the standard treatment converges toward the point
-            # pulse rather than toward a fixed smeared problem.
-            plane_w = float(self.mesh_at(self.t_start)[1][0])
-            kinks = np.array([[plane_w]])
-        psi0 = lambda x, t: analytic.initial_psi(self.spec, x, plane_w)
+        # A delta initial condition becomes a box as wide as the cells
+        # meeting at the origin: exactly representable, and halved with the
+        # cells, so the standard treatment converges toward the point pulse
+        # rather than toward a fixed smeared problem.
+        width = float(self.mesh_at(self.t_start)[1][0])
+        psi0 = lambda x, t: analytic.initial_psi(self.spec, x, width)
         coeffs = self.project_function([self.t_start], psi0, kinks)
         return SolutionState(np.broadcast_to(coeffs[0].T[:, None], shape).copy(),
                              self.t_start)

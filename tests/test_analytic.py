@@ -671,8 +671,9 @@ def per_time_kinks(spec, t, uncollided):
     if spec.kind.startswith("gaussian") or spec.kind == "mms":
         return ()
     if not uncollided:
-        # the square profiles' edge; the plane pulse reads no x0
-        return (spec.x0,) if spec.kind.startswith("square") else ()
+        # the fronts at t = 0: the square profiles' edge x0, and for the
+        # plane pulse 0, which the panel plan never splits at
+        t = 0.0
     if spec.kind == "plane-pulse":
         return (t,)
     if spec.kind == "square-pulse":
@@ -731,7 +732,8 @@ class TestKinkRadii:
         table = an.kink_radii(spec, np.array([0.2, X0, 2.0]), True)
         np.testing.assert_array_equal(table, [[abs(0.2 - X0), 0.2 + X0], [0.0, 2 * X0],
                                               [1.5, 2.5]])
-        np.testing.assert_array_equal(an.kink_radii(spec, np.array([2.0]), False), [[X0]])
+        # standard mode takes the fronts at t = 0, which both start on x0
+        np.testing.assert_array_equal(an.kink_radii(spec, np.array([2.0]), False), [[X0, X0]])
 
     def test_plane_front_moves(self):
         np.testing.assert_array_equal(
@@ -796,6 +798,8 @@ class TestSpecValidation:
             SourceSpec("gaussian-pulse", sigma=SIGMA, c=-0.1)
         with pytest.raises(ValueError):
             SourceSpec("mms", x0=0.1, c=0.9)
+        with pytest.raises(ValueError, match="amplitude 1"):
+            SourceSpec("mms", x0=0.1, amplitude=2.0)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("field", ["c", "x0", "sigma", "t0", "amplitude"])

@@ -472,6 +472,31 @@ def test_odd_cell_count_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("amplitude", ["2", "-3"])
+def test_mms_refuses_another_amplitude(tmp_path, capsys, amplitude):
+    # the manufactured solution fixes the amplitude at 1: the solve would
+    # not apply another one, though the manifest would record it
+    out = tmp_path / "out"
+    rc = main(["solve", "--preset", "mms", "--N", "8", "--K", "4",
+               "--amplitude", amplitude, "--out-dir", str(out)])
+    assert rc == 2
+    assert "defined for amplitude 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plane_pulse_ignores_x0(tmp_path):
+    # the plane pulse reads no x0, so a negative one runs and writes the
+    # solution of the preset's x0 = 0.5
+    tables = []
+    for x0 in ("0.5", "-1"):
+        out = tmp_path / x0
+        rc = main(["solve", "--preset", "plane-pulse", "--N", "8", "--M", "2", "--K", "4",
+                   "--t", "0.3", "--x0", x0, "--out-dir", str(out)])
+        assert rc == 0
+        tables.append((out / "solution.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def test_cells_sweep_skips_odd_counts(tmp_path, monkeypatch):
     # variant_feasible rules an odd K out, as any infeasible point
     monkeypatch.setattr(

@@ -23,7 +23,7 @@ from snmesh import analytic as an, projection
 from snmesh.analysis import analysis_grid
 from snmesh.analytic import PLANE_EPS_X0, PLANE_T_START, T_START_EPS, SourceSpec
 from snmesh.basis import legendre_table
-from snmesh.dgcore import RunConfig, SolutionState, TransportSystem, build_mesh, start_time
+from snmesh.dgcore import RunConfig, SolutionState, TransportSystem, build_mesh
 from snmesh.integrate import _C, IntegrationError
 from snmesh.mesh import edge_table
 from snmesh.presets import config_from_settings, preset_settings
@@ -664,6 +664,20 @@ class TestPanelPlan:
                 for a, b in zip(got, want):
                     assert a.tobytes() == b.tobytes()
 
+    def test_kinks_on_edges_give_the_points_of_none(self):
+        # the plane pulse's standard-mode kink 0 and its delta box's edge,
+        # the first cell's right edge, are ties the plan keeps as edges
+        cfg = make_config(kind="plane-pulse", mesh="static", mode="standard", K=8, M=3, N=4)
+        system = TransportSystem(cfg)
+        times = np.array([0.0])
+        width = edge_table(system.mesh, times)[1][0, 0]
+        kinks = an.kink_radii(system.spec, times, uncollided=False)
+        np.testing.assert_array_equal(kinks, [[0.0]])
+        want = fresh_points(system, times, smooth(times))
+        for other in (kinks, np.array([[width]]), np.array([[0.0, width]])):
+            for a, b in zip(fresh_points(system, times, other), want):
+                assert a.tobytes() == b.tobytes()
+
     def test_denormal_kink_keeps_the_plan(self):
         # the panel (0, 5e-324) has the midpoint 0.0, on the edge at its
         # left: it stays in cell 0, and the plan of a kink at 1e-3 holds
@@ -1096,16 +1110,12 @@ class TestSolveDriver:
 
 class TestGeometryChoices:
     def test_start_times(self):
-        assert start_time(make_config(kind="square-pulse", mesh="moving",
-                                      mode="standard", K=8)) == T_START_EPS
-        assert start_time(make_config(kind="plane-pulse", mesh="static",
-                                      mode="uncollided")) == PLANE_T_START
-        assert start_time(make_config(kind="plane-pulse", mesh="moving",
-                                      mode="uncollided")) == PLANE_T_START
-        assert start_time(make_config(kind="gaussian-pulse", mesh="moving",
-                                      mode="standard")) == 0.0
-        assert start_time(make_config(kind="square-pulse", mesh="static",
-                                      mode="standard")) == 0.0
+        start = lambda **kw: TransportSystem(make_config(**kw)).t_start
+        assert start(kind="square-pulse", mesh="moving", mode="standard", K=8) == T_START_EPS
+        assert start(kind="plane-pulse", mesh="static", mode="uncollided") == PLANE_T_START
+        assert start(kind="plane-pulse", mesh="moving", mode="uncollided") == PLANE_T_START
+        assert start(kind="gaussian-pulse", mesh="moving", mode="standard") == 0.0
+        assert start(kind="square-pulse", mesh="static", mode="standard") == 0.0
 
     def test_t_final_before_the_deferred_start_fails(self):
         # named in the message, not left to the integrator's "cannot
@@ -1115,7 +1125,7 @@ class TestGeometryChoices:
                         t_final=1e-6)
         cfg = make_config(kind="plane-pulse", mesh="moving", mode="uncollided",
                           t_final=PLANE_T_START)
-        assert cfg.t_final == start_time(cfg)
+        assert cfg.t_final == TransportSystem(cfg).t_start
 
     def test_mesh_families(self):
         m = build_mesh(make_config(kind="plane-pulse", mesh="moving", mode="uncollided"))

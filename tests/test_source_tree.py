@@ -1,5 +1,6 @@
-"""Checks on the package source: no dead private names, and every name
-the benchmark's tracer patches exists, and its source-layer names see the
+"""Checks on the package source: no dead private names, no comparison
+against a problem kind but the family table's lookup, and every name the
+benchmark's tracer patches exists, and its source-layer names see the
 solver's calls."""
 
 import ast
@@ -48,6 +49,37 @@ def test_every_private_module_name_is_read():
     dead = [f"{module}:{name}" for module, tree in trees.items()
             for name in _private_definitions(tree) if name not in used]
     assert dead == [], "module-level private names nothing reads: %s" % dead
+
+
+def _is_kind(node):
+    return (isinstance(node, ast.Name) and node.id == "kind") or (
+        isinstance(node, ast.Attribute) and node.attr == "kind")
+
+
+def _kind_tests(tree):
+    """The source text of every ==, !=, in or not in comparison with a
+    name or attribute called kind as an operand, and of every
+    ``kind.startswith`` call."""
+    ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, ops) and (_is_kind(a) or _is_kind(b))
+                   for op, a, b in zip(node.ops, operands, operands[1:])):
+                out.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "startswith" and _is_kind(node.func.value)):
+            out.append(ast.unparse(node))
+    return out
+
+
+def test_only_the_family_lookup_compares_against_kind():
+    # each family's rules live in its analytic.FAMILIES record, so a test
+    # of a kind's name would state one of them a second time
+    found = [f"{p.name}: {text}" for p in sorted(PACKAGE.glob("*.py"))
+             for text in _kind_tests(ast.parse(p.read_text(), str(p)))]
+    assert found == ["analytic.py: self.kind not in FAMILIES"]
 
 
 def test_benchmark_tracer_finds_every_name_it_patches():
