@@ -42,7 +42,7 @@ _ORACLE_TAG = "# snmesh-oracle "  # first line of an oracle file, before its JSO
 # The numerical scheme an oracle file was solved with.  The cache key hashes
 # the config alone, so a change to the solver that moves the numbers bumps
 # this on purpose, and a file of another scheme (or of none) is a miss.
-ORACLE_SCHEME = 3
+ORACLE_SCHEME = 4
 
 
 class OracleGateError(RuntimeError):

@@ -232,14 +232,16 @@ def mms_source(x, mu, t, x0):
 # Problem families: each family's rules, stated once.
 
 # Effective initial half-width used when the moving mesh collapses onto a
-# plane pulse, and the deferred start for meshes that degenerate at t = 0.
+# plane pulse.
 PLANE_EPS_X0 = 1e-10
+# Deferred starts for meshes born at zero width: cell widths grow like t, so
+# explicit stepping pays a fixed step count per decade of t.  PLANE_T_START
+# serves the plane's uncollided runs, which drop collided mass ~c t_s (at
+# 1e-5 an order under the plane's trust gate), and the square source's
+# uncollided moving runs, which start on their leading collided term and
+# drop O(t_s^3).  T_START_EPS serves the other square runs, whose unseeded
+# start drops mass of order t_s, and is every deferred start's first step.
 T_START_EPS = 1e-10
-# Plane uncollided runs defer further: cell widths grow like t, so explicit
-# stepping pays a fixed step count per decade of mesh growth.  The collided
-# production dropped by starting at t0 is ~c*t0 in mass, which at 1e-5 sits
-# an order under the plane trust-gate abort limit and three decades under
-# the smallest study error the saturation mask keeps.
 PLANE_T_START = 1e-5
 
 
@@ -323,8 +325,12 @@ FAMILIES = {
             "not converge")},
     ),
     "square-pulse": _SQUARE_PULSE,
-    "square-source": replace(_SQUARE_PULSE, reads=("x0", "t0"), source=True,
-                             phi_u=phi_u_square_source, fronts=_square_source_fronts),
+    "square-source": replace(
+        _SQUARE_PULSE, reads=("x0", "t0"), source=True, phi_u=phi_u_square_source,
+        fronts=_square_source_fronts,
+        # seeded by dgcore's project_initial_condition
+        start=lambda cfg: (PLANE_T_START if cfg.variant == "uncollided+moving"
+                           else _SQUARE_PULSE.start(cfg))),
     "gaussian-pulse": _GAUSSIAN_PULSE,
     "gaussian-source": replace(_GAUSSIAN_PULSE, reads=("sigma", "t0"), source=True,
                                phi_u=phi_u_gaussian_source),

@@ -122,6 +122,7 @@ def cmd_solve(args):
         solution_table(system, result.state, grid),
         variant=config.variant,
         wall_seconds=result.wall_seconds,
+        t_start=system.t_start,
         integrator=_stats_payload(result.stats),
         particles=system.phi_integral(result.state),
     )

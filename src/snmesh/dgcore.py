@@ -233,22 +233,29 @@ class TransportSystem:
         self._prepared = dict(zip(times.tolist(), self._stage_terms(times)))
 
     def project_initial_condition(self) -> SolutionState:
-        """State at the start time: projected initial flux, or zero in
-        uncollided mode (the analytic part carries the initial particles)."""
-        cfg = self.config
+        """State at the start time: the projected initial flux, or in
+        uncollided mode the collided flux (the analytic part carries the
+        uncollided particles).  That is zero, but for a source started at
+        t_s > 0: its leading collided term, the profile at (c a / 2)
+        int_0^t_s min(s, t0) ds, leaves O(t_s^3) of the mass out."""
+        cfg, spec, t_s = self.config, self.spec, self.t_start
         shape = (cfg.order + 1, cfg.n_angles, self.n_cells)
-        if self._uncollided:
-            return SolutionState(np.zeros(shape), self.t_start)
-        kinks = analytic.kink_radii(self.spec, [self.t_start], uncollided=False)
-        # A delta initial condition becomes a box as wide as the cells
-        # meeting at the origin: exactly representable, and halved with the
-        # cells, so the standard treatment converges toward the point pulse
-        # rather than toward a fixed smeared problem.
-        width = float(self.mesh_at(self.t_start)[1][0])
-        psi0 = lambda x, t: analytic.initial_psi(self.spec, x, width)
-        coeffs = self.project_function([self.t_start], psi0, kinks)
-        return SolutionState(np.broadcast_to(coeffs[0].T[:, None], shape).copy(),
-                             self.t_start)
+        if not self._uncollided:
+            # A delta initial condition becomes a box as wide as the cells
+            # meeting at the origin: exactly representable, and halved with
+            # the cells, so the standard treatment converges toward the point
+            # pulse rather than toward a fixed smeared problem.
+            width = float(self.mesh_at(t_s)[1][0])
+            psi0 = lambda x, t: analytic.initial_psi(spec, x, width)
+        elif spec.family.source and t_s > 0.0:
+            on = min(t_s, spec.t0)
+            peak = 0.5 * spec.c * spec.amplitude * on * (t_s - 0.5 * on)
+            psi0 = lambda x, t: spec.family.profile(spec, x, peak)
+        else:
+            return SolutionState(np.zeros(shape), t_s)
+        kinks = analytic.kink_radii(spec, [t_s], uncollided=False)
+        coeffs = self.project_function([t_s], psi0, kinks)
+        return SolutionState(np.broadcast_to(coeffs[0].T[:, None], shape).copy(), t_s)
 
     # -- semidiscrete right-hand side ---------------------------------------
 

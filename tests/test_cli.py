@@ -55,6 +55,16 @@ class TestSolve:
         assert manifest["config"]["order"] == 3
         assert manifest["integrator"]["steps_accepted"] > 0
         assert manifest["outputs"]["solution_csv"] == "solution.csv"
+        assert manifest["t_start"] == 0.0
+
+    def test_manifest_states_the_deferred_start(self, tmp_path):
+        # a run states where it began: the seeded square source starts late
+        rc = main(["solve", "--preset", "square-source", "--N", "4", "--M", "1",
+                   "--K", "4", "--t", "0.01", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["variant"] == "uncollided+moving"
+        assert manifest["t_start"] == analytic.PLANE_T_START
 
     def test_manifest_counts_the_particles(self, tmp_path):
         # at c = 1 a Gaussian pulse keeps its sigma sqrt(pi) particles

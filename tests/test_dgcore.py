@@ -737,13 +737,13 @@ class TestPanelPlan:
 @pytest.mark.parametrize("preset,flags,builds", [
     ("gaussian-source", dict(order=8, cells=16), 2),
     ("gaussian-pulse", dict(cells=4, angles=8, order=2, t_final=0.5), 2),
-    ("square-source", dict(order=1, cells=16), 22),
-    ("square-source", dict(order=2, cells=16), 14),
+    ("square-source", dict(order=1, cells=16), 21),
+    ("square-source", dict(order=2, cells=16), 20),
 ])
 def test_panel_plan_builds_per_solve(monkeypatch, preset, flags, builds):
     # the edges of a kink-free batch always rise, so its plan is rebuilt
     # only when the batch size changes; the square source's kinks cross
-    # edges
+    # edges, so its count follows its step sequence and its seeded start
     count = []
 
     class Counted(projection.PanelPlan):
@@ -1032,6 +1032,21 @@ class TestInitialState:
         state = TransportSystem(cfg).project_initial_condition()
         assert np.all(state.coeffs == 0.0)
 
+    @pytest.mark.parametrize("c, amplitude", [(1.0, 1.0), (0.5, 2.0)])
+    def test_late_square_source_starts_on_its_collided_mass(self, c, amplitude):
+        # the seed (c a / 2) t_s^2 / 2 per direction on |x| <= x0 holds the
+        # collided mass c x0 a t_s^2 that a zero start at t_s would drop
+        cfg = make_config(kind="square-source", c=c, amplitude=amplitude, mesh="moving",
+                          mode="uncollided", K=8, M=4, N=16, x0=0.5, t0=5.0)
+        system = TransportSystem(cfg)
+        state = system.project_initial_condition()
+        assert state.t == PLANE_T_START
+        collided = 2.0 * np.sum(system.phi_moments(state)[0]
+                                * np.sqrt(system.mesh_at(state.t)[1]))
+        want = c * 0.5 * amplitude * PLANE_T_START ** 2
+        assert collided == pytest.approx(want, rel=1e-12, abs=0)
+        assert np.all(state.coeffs[:, 0] == state.coeffs[:, -1])
+
     def test_projection_preserves_cell_means(self):
         cfg = make_config(kind="square-pulse", mesh="static", mode="standard",
                           K=8, M=3, N=4, t_final=0.5)
@@ -1088,20 +1103,40 @@ class TestSolveDriver:
         assert targets == [0.3, 0.6] and res.state.t == 0.6
 
     @pytest.mark.parametrize("kind,mesh,t_final,t0", [
-        ("square-source", "moving", 1.5e-10, 1.0),
+        ("square-source", "moving", 1.00000005e-5, 1.0),
         ("square-source", "moving", 1e-3, 1.5e-10),
         ("square-pulse", "moving", 1.5e-10, 1.0),
         ("plane-pulse", "moving", 1.00000005e-5, 1.0),
         ("plane-pulse", "static", 1.00000005e-5, 1.0),
     ])
     def test_deferred_start_shorter_than_its_first_step(self, kind, mesh, t_final, t0):
-        # a span (or a source's on-time) past the deferred start shorter
-        # than T_START_EPS is the first step's size
+        # a span past the deferred start shorter than T_START_EPS is the
+        # first step's size; a source's on-time may end before the start
         cfg = make_config(kind=kind, mesh=mesh, mode="uncollided", K=4, M=1, N=4,
                           x0=0.5, t0=t0, t_final=t_final)
         res = TransportSystem(cfg).solve()
         assert res.state.t == t_final
         assert np.isfinite(res.state.coeffs).all()
+
+    @pytest.mark.parametrize("t0", [5.0, 2e-6])
+    def test_seeded_late_start_matches_the_early_start(self, monkeypatch, t0):
+        # the square source's seeded start at PLANE_T_START gives the flux
+        # of a start at T_START_EPS, also when the source shuts off before it
+        cfg = make_config(kind="square-source", mesh="moving", mode="uncollided",
+                          K=8, M=4, N=16, x0=0.5, t0=t0, t_final=1.0)
+        grid = analysis_grid(cfg.spec, cfg.t_final)
+
+        def flux():
+            system = TransportSystem(cfg)
+            return system.t_start, system.scalar_flux(system.solve().state, grid)
+
+        late, phi_late = flux()
+        family = an.FAMILIES["square-source"]
+        monkeypatch.setitem(an.FAMILIES, "square-source",
+                            replace(family, start=lambda config: T_START_EPS))
+        early, phi_early = flux()
+        assert (late, early) == (PLANE_T_START, T_START_EPS)
+        np.testing.assert_allclose(phi_late, phi_early, rtol=0, atol=1e-9)
 
     def test_variant_label(self):
         cfg = make_config(mesh="moving", mode="uncollided")
@@ -1112,6 +1147,10 @@ class TestGeometryChoices:
     def test_start_times(self):
         start = lambda **kw: TransportSystem(make_config(**kw)).t_start
         assert start(kind="square-pulse", mesh="moving", mode="standard", K=8) == T_START_EPS
+        # the seeded square source starts late; its unseeded standard mode does not
+        assert start(kind="square-source", mesh="moving", mode="uncollided") == PLANE_T_START
+        assert start(kind="square-source", mesh="moving", mode="standard") == T_START_EPS
+        assert start(kind="square-source", mesh="static", mode="uncollided") == 0.0
         assert start(kind="plane-pulse", mesh="static", mode="uncollided") == PLANE_T_START
         assert start(kind="plane-pulse", mesh="moving", mode="uncollided") == PLANE_T_START
         assert start(kind="gaussian-pulse", mesh="moving", mode="standard") == 0.0
